@@ -24,7 +24,8 @@ fn bench_validation(c: &mut Criterion) {
         let hw = VirtualK40::new();
         let fitted = fit(&hw, &FitConfig::fast());
         let model = fitted.to_energy_model();
-        b.iter(|| xp::validation::fig4a(&hw, &model, Scale::Smoke))
+        let lab = xp::Lab::new(Scale::Smoke);
+        b.iter(|| xp::validation::fig4a(&lab, &hw, &model, Scale::Smoke).unwrap())
     });
 
     group.bench_function("fig4b_app_validation", |b| {
@@ -35,7 +36,8 @@ fn bench_validation(c: &mut Criterion) {
             .iter()
             .map(|n| by_name(n).unwrap())
             .collect();
-        b.iter(|| xp::validation::fig4b(&hw, &model, &suite, Scale::Smoke))
+        let lab = xp::Lab::new(Scale::Smoke);
+        b.iter(|| xp::validation::fig4b(&lab, &hw, &model, &suite, Scale::Smoke).unwrap())
     });
 
     group.finish();

@@ -14,6 +14,12 @@
 //!    full-occupancy runs are transaction-dominated);
 //! 5. iterate 2–4: warm-up traffic and stall energy couple the fits, so a
 //!    few fixed-point rounds sharpen them (the refinement loop of Fig. 3).
+//!
+//! The microbenchmark runs are independent of each other and of the
+//! solve, so the pipeline is split in two: [`fit_runs`] lists the runs
+//! and [`solve`] fits the model from their measurements. [`fit`] is the
+//! serial composition; a caller with a worker pool can measure the runs
+//! concurrently and hand them to [`solve`] in order.
 
 use crate::harness::{run_and_measure, ScaledMeasurement};
 use crate::kernels::{ComputeUbench, MemLevel, MemoryUbench};
@@ -87,42 +93,53 @@ impl FittedModel {
     }
 }
 
-/// Runs the full fitting pipeline against `hw`.
+/// One independent microbenchmark run of the fitting pipeline.
 ///
-/// This is the paper's workflow end to end: the fitting code never reads
-/// the silicon's hidden truth model — only the sensor.
-pub fn fit(hw: &VirtualK40, cfg: &FitConfig) -> FittedModel {
-    let idle = hw.measure_idle(Time::from_secs(2.0));
-    let behavior = HiddenBehavior::regular();
+/// Runs share no state (every sensor read is seeded by the run's
+/// profile name), so they may execute in any order or concurrently;
+/// [`solve`] consumes their measurements in [`fit_runs`] order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FitRun {
+    /// The Eq. 5 compute microbenchmark of one opcode.
+    Compute(Opcode),
+    /// The pointer-chase microbenchmark of one memory level.
+    Memory(MemLevel),
+    /// One point of the FADD32 occupancy sweep behind the stall fit.
+    Occupancy(GridShape),
+}
 
-    // ---- run every microbenchmark once (results are reused across
-    // refinement rounds; the runs themselves are deterministic) ----------
-    let compute_runs: Vec<(Opcode, ScaledMeasurement)> = Opcode::ALL
-        .iter()
-        .map(|&op| {
-            let k = ComputeUbench::new(op, cfg.compute_iterations, &cfg.gpu.gpm);
-            (
-                op,
-                run_and_measure(hw, &cfg.gpu, &k, behavior, cfg.target_duration),
-            )
-        })
-        .collect();
+impl FitRun {
+    /// Simulates this run on `cfg.gpu`, stretches it to the target
+    /// duration, and measures it through `hw`'s sensor.
+    pub fn measure(&self, hw: &VirtualK40, cfg: &FitConfig) -> ScaledMeasurement {
+        let behavior = HiddenBehavior::regular();
+        let (gpu, target) = (&cfg.gpu, cfg.target_duration);
+        match *self {
+            FitRun::Compute(op) => {
+                let k = ComputeUbench::new(op, cfg.compute_iterations, &gpu.gpm);
+                run_and_measure(hw, gpu, &k, behavior, target)
+            }
+            FitRun::Memory(level) => {
+                let k = MemoryUbench::new(level, &gpu.gpm);
+                run_and_measure(hw, gpu, &k, behavior, target)
+            }
+            FitRun::Occupancy(grid) => {
+                let k = ComputeUbench::with_grid(Opcode::FAdd32, cfg.compute_iterations, grid);
+                run_and_measure(hw, gpu, &k, behavior, target)
+            }
+        }
+    }
+}
 
-    let mem_runs: Vec<(MemLevel, ScaledMeasurement)> = MemLevel::ALL
-        .iter()
-        .map(|&level| {
-            let k = MemoryUbench::new(level, &cfg.gpu.gpm);
-            (
-                level,
-                run_and_measure(hw, &cfg.gpu, &k, behavior, cfg.target_duration),
-            )
-        })
-        .collect();
-
-    // Occupancy sweep of a *compute* benchmark for the stall fit: at low
-    // occupancy the SM stalls on the dependency latency of a single warp,
-    // at full occupancy it barely stalls, and — unlike a memory sweep —
-    // there is no memory-subsystem activity to confound the fit.
+/// Every microbenchmark run the pipeline needs, in the order [`solve`]
+/// expects their measurements: one compute run per opcode, one
+/// pointer-chase run per memory level, then the occupancy sweep.
+///
+/// The occupancy sweep uses a *compute* benchmark for the stall fit: at
+/// low occupancy the SM stalls on the dependency latency of a single
+/// warp, at full occupancy it barely stalls, and — unlike a memory
+/// sweep — there is no memory-subsystem activity to confound the fit.
+pub fn fit_runs(cfg: &FitConfig) -> Vec<FitRun> {
     let sms = cfg.gpu.gpm.sms as u32;
     let occupancy_grids = [
         GridShape::new(sms, 1),
@@ -130,13 +147,53 @@ pub fn fit(hw: &VirtualK40, cfg: &FitConfig) -> FittedModel {
         GridShape::new(sms, 4),
         GridShape::new(sms * (cfg.gpu.gpm.max_resident_warps as u32 / 8).max(1), 8),
     ];
-    let occ_runs: Vec<ScaledMeasurement> = occupancy_grids
+    Opcode::ALL
         .iter()
-        .map(|&grid| {
-            let k = ComputeUbench::with_grid(Opcode::FAdd32, cfg.compute_iterations, grid);
-            run_and_measure(hw, &cfg.gpu, &k, behavior, cfg.target_duration)
-        })
+        .map(|&op| FitRun::Compute(op))
+        .chain(MemLevel::ALL.iter().map(|&level| FitRun::Memory(level)))
+        .chain(occupancy_grids.into_iter().map(FitRun::Occupancy))
+        .collect()
+}
+
+/// Runs the full fitting pipeline against `hw`: every [`fit_runs`] run
+/// in order on the calling thread, then [`solve`].
+///
+/// This is the paper's workflow end to end: the fitting code never reads
+/// the silicon's hidden truth model — only the sensor.
+pub fn fit(hw: &VirtualK40, cfg: &FitConfig) -> FittedModel {
+    let runs: Vec<ScaledMeasurement> = fit_runs(cfg)
+        .iter()
+        .map(|run| run.measure(hw, cfg))
         .collect();
+    solve(hw, cfg, &runs)
+}
+
+/// Solves the model from measured runs: measures idle power on `hw`
+/// (step 1), then fits EPIs, EPTs, and the stall energy from `runs`
+/// (steps 2–5). `runs[i]` must be the measurement of `fit_runs(cfg)[i]`.
+///
+/// # Panics
+///
+/// If `runs` does not have one measurement per [`fit_runs`] run.
+pub fn solve(hw: &VirtualK40, cfg: &FitConfig, runs: &[ScaledMeasurement]) -> FittedModel {
+    let plan = fit_runs(cfg);
+    assert_eq!(
+        plan.len(),
+        runs.len(),
+        "solve needs one measurement per fit run"
+    );
+    let idle = hw.measure_idle(Time::from_secs(2.0));
+
+    let mut compute_runs: Vec<(Opcode, &ScaledMeasurement)> = Vec::new();
+    let mut mem_runs: Vec<(MemLevel, &ScaledMeasurement)> = Vec::new();
+    let mut occ_runs: Vec<&ScaledMeasurement> = Vec::new();
+    for (run, m) in plan.iter().zip(runs) {
+        match *run {
+            FitRun::Compute(op) => compute_runs.push((op, m)),
+            FitRun::Memory(level) => mem_runs.push((level, m)),
+            FitRun::Occupancy(_) => occ_runs.push(m),
+        }
+    }
 
     // ---- fixed-point refinement ----------------------------------------
     let mut epi = EpiTable::zeroed();
@@ -266,6 +323,36 @@ mod tests {
     fn lsq_rejects_singular() {
         let rows = vec![(1.0, 2.0, 3.0), (2.0, 4.0, 6.0)];
         assert!(solve_2x2_lsq(&rows).is_none());
+    }
+
+    #[test]
+    fn runs_solve_to_the_same_model_in_any_measurement_order() {
+        // Each run is a pure function of (hw, cfg, run): measuring them
+        // back to front and restoring the order must reproduce the serial
+        // fit bit for bit — the contract that lets callers run them
+        // concurrently.
+        let hw = VirtualK40::new();
+        let mut cfg = FitConfig::fast();
+        cfg.compute_iterations = 100;
+        cfg.target_duration = Time::from_millis(60.0);
+        let runs = fit_runs(&cfg);
+        assert_eq!(runs.len(), Opcode::ALL.len() + MemLevel::ALL.len() + 4);
+        let mut measured: Vec<ScaledMeasurement> = runs
+            .iter()
+            .rev()
+            .map(|run| run.measure(&hw, &cfg))
+            .collect();
+        measured.reverse();
+        let solved = solve(&hw, &cfg, &measured);
+        let serial = fit(&hw, &cfg);
+        assert_eq!(format!("{solved:?}"), format!("{serial:?}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "one measurement per fit run")]
+    fn solve_rejects_a_short_run_list() {
+        let cfg = FitConfig::fast();
+        let _ = solve(&VirtualK40::new(), &cfg, &[]);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod harness;
 pub mod kernels;
 pub mod validate;
 
-pub use fit::{fit, FitConfig, FittedModel};
+pub use fit::{fit, fit_runs, solve, FitConfig, FitRun, FittedModel};
 pub use harness::{measure_scaled, replication_factor, run_and_measure, ScaledMeasurement};
 pub use kernels::{ComputeUbench, MemLevel, MemoryUbench, MixedUbench};
-pub use validate::{fig4a_combinations, validate_mixed};
+pub use validate::{assess_mixed, fig4a_combinations, validate_mixed, MixedRun};

@@ -7,7 +7,7 @@
 //! each memory level; the slight underestimation is exactly what an
 //! unmodeled compute↔memory interaction term produces.
 
-use crate::harness::run_and_measure;
+use crate::harness::{run_and_measure, ScaledMeasurement};
 use crate::kernels::{MemLevel, MixedUbench};
 use common::units::Time;
 use gpujoule::{EnergyModel, ValidationItem, ValidationReport};
@@ -15,57 +15,88 @@ use isa::Opcode;
 use silicon::{HiddenBehavior, VirtualK40};
 use sim::GpuConfig;
 
+/// One Fig. 4a mixed-instruction microbenchmark: FADD64 against one
+/// memory level, or the three-way L2 + DRAM combination. Like the fit's
+/// runs, each is independent and may be measured concurrently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MixedRun {
+    /// FADD64 combined with one memory level.
+    Level(MemLevel),
+    /// FADD64 combined with L2 hits and extra DRAM traffic.
+    L2AndDram,
+}
+
+impl MixedRun {
+    /// The Fig. 4a combination set, in report order.
+    pub const ALL: [MixedRun; 5] = [
+        MixedRun::Level(MemLevel::Shared),
+        MixedRun::Level(MemLevel::L1),
+        MixedRun::Level(MemLevel::L2),
+        MixedRun::Level(MemLevel::Dram),
+        MixedRun::L2AndDram,
+    ];
+
+    /// The combination's Fig. 4a label.
+    pub fn name(&self) -> &'static str {
+        match self {
+            MixedRun::Level(MemLevel::Shared) => "FADD64 + Shared Memory",
+            MixedRun::Level(MemLevel::L1) => "FADD64 + L1D Cache",
+            MixedRun::Level(MemLevel::L2) => "FADD64 + L2 Cache",
+            MixedRun::Level(MemLevel::Dram) => "FADD64 + DRAM",
+            MixedRun::L2AndDram => "FADD64 + L2 Cache + DRAM",
+        }
+    }
+
+    /// Simulates the combination on `gpu`, stretches it to `target`, and
+    /// measures it through `hw`'s sensor.
+    pub fn measure(&self, hw: &VirtualK40, gpu: &GpuConfig, target: Time) -> ScaledMeasurement {
+        let kernel = match *self {
+            MixedRun::Level(level) => MixedUbench::new(Opcode::FAdd64, level, 6, &gpu.gpm),
+            MixedRun::L2AndDram => MixedUbench::with_extra_dram(Opcode::FAdd64, 6, &gpu.gpm),
+        };
+        run_and_measure(hw, gpu, &kernel, HiddenBehavior::regular(), target)
+    }
+}
+
 /// The Fig. 4a combination set: FADD64 against each memory level, plus
 /// the three-way L2 + DRAM combination.
 pub fn fig4a_combinations() -> Vec<&'static str> {
-    vec![
-        "FADD64 + Shared Memory",
-        "FADD64 + L1D Cache",
-        "FADD64 + L2 Cache",
-        "FADD64 + DRAM",
-        "FADD64 + L2 Cache + DRAM",
-    ]
+    MixedRun::ALL.iter().map(MixedRun::name).collect()
+}
+
+/// Scores a fitted model against measured combinations: `runs[i]` must
+/// be the measurement of `MixedRun::ALL[i]`.
+pub fn assess_mixed(model: &EnergyModel, runs: &[ScaledMeasurement]) -> ValidationReport {
+    assert_eq!(
+        runs.len(),
+        MixedRun::ALL.len(),
+        "assess_mixed needs one measurement per combination"
+    );
+    MixedRun::ALL
+        .iter()
+        .zip(runs)
+        .map(|(combo, run)| {
+            let modeled = model.estimate_total(&run.counts);
+            ValidationItem::new(combo.name(), modeled, run.measurement.measured_energy)
+        })
+        .collect()
 }
 
 /// Runs the mixed-instruction validation of a fitted model against the
-/// virtual silicon, returning one item per combination.
+/// virtual silicon, returning one item per combination: every
+/// [`MixedRun`] measured in order on the calling thread, then
+/// [`assess_mixed`].
 pub fn validate_mixed(
     hw: &VirtualK40,
     model: &EnergyModel,
     gpu: &GpuConfig,
     target: Time,
 ) -> ValidationReport {
-    let combos: Vec<(String, MixedUbench)> = vec![
-        (
-            "FADD64 + Shared Memory".into(),
-            MixedUbench::new(Opcode::FAdd64, MemLevel::Shared, 6, &gpu.gpm),
-        ),
-        (
-            "FADD64 + L1D Cache".into(),
-            MixedUbench::new(Opcode::FAdd64, MemLevel::L1, 6, &gpu.gpm),
-        ),
-        (
-            "FADD64 + L2 Cache".into(),
-            MixedUbench::new(Opcode::FAdd64, MemLevel::L2, 6, &gpu.gpm),
-        ),
-        (
-            "FADD64 + DRAM".into(),
-            MixedUbench::new(Opcode::FAdd64, MemLevel::Dram, 6, &gpu.gpm),
-        ),
-        (
-            "FADD64 + L2 Cache + DRAM".into(),
-            MixedUbench::with_extra_dram(Opcode::FAdd64, 6, &gpu.gpm),
-        ),
-    ];
-
-    combos
-        .into_iter()
-        .map(|(name, kernel)| {
-            let run = run_and_measure(hw, gpu, &kernel, HiddenBehavior::regular(), target);
-            let modeled = model.estimate_total(&run.counts);
-            ValidationItem::new(name, modeled, run.measurement.measured_energy)
-        })
-        .collect()
+    let runs: Vec<ScaledMeasurement> = MixedRun::ALL
+        .iter()
+        .map(|combo| combo.measure(hw, gpu, target))
+        .collect();
+    assess_mixed(model, &runs)
 }
 
 #[cfg(test)]
@@ -76,6 +107,25 @@ mod tests {
     #[test]
     fn combination_list_matches_fig4a() {
         assert_eq!(fig4a_combinations().len(), 5);
+        assert_eq!(fig4a_combinations()[4], "FADD64 + L2 Cache + DRAM");
+    }
+
+    #[test]
+    fn assessing_runs_measured_out_of_order_matches_the_serial_pass() {
+        let hw = VirtualK40::new();
+        let cfg = FitConfig::fast();
+        let model = gpujoule::EnergyModel::k40();
+        let target = Time::from_millis(60.0);
+        let mut runs: Vec<ScaledMeasurement> = MixedRun::ALL
+            .iter()
+            .rev()
+            .map(|combo| combo.measure(&hw, &cfg.gpu, target))
+            .collect();
+        runs.reverse();
+        assert_eq!(
+            assess_mixed(&model, &runs),
+            validate_mixed(&hw, &model, &cfg.gpu, target)
+        );
     }
 
     #[test]

@@ -247,7 +247,8 @@ impl<O> Collector<O> {
 /// thread in submission order — the exact serial semantics the `xp`
 /// harness had before this crate existed. With more threads, points run
 /// concurrently, but results are still collected by submission index,
-/// so downstream output is identical.
+/// so downstream output is identical. A sweep submitted from inside a
+/// pool worker (a nested sweep) also runs inline, on that worker.
 #[derive(Debug)]
 pub struct SweepExecutor {
     pool: Option<ThreadPool>,
@@ -505,17 +506,20 @@ impl SweepExecutor {
             }
         };
 
+        // A sweep submitted from a pool worker (a point that itself
+        // sweeps) runs inline: blocking a worker on jobs queued behind it
+        // could leave no worker free to run them.
         match &self.pool {
-            None => {
-                for (key, indices, item) in unique {
-                    run_point(key, indices, item);
-                }
-            }
-            Some(pool) => {
+            Some(pool) if current_worker_index().is_none() => {
                 let run_point = Arc::new(run_point);
                 for (key, indices, item) in unique {
                     let run_point = Arc::clone(&run_point);
                     pool.spawn(move || run_point(key, indices, item));
+                }
+            }
+            _ => {
+                for (key, indices, item) in unique {
+                    run_point(key, indices, item);
                 }
             }
         }

@@ -102,6 +102,16 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
+/// Maps a point that failed on the lab's executor after its retries
+/// (a fit, validation or characterization run inside `artifact`'s
+/// evaluation) to the artifact's typed error at `point`.
+pub(crate) fn failed_at(
+    artifact: &'static str,
+    point: &'static str,
+) -> impl FnOnce(runtime::SweepError) -> ArtifactError {
+    move |e| ArtifactError::new(artifact, point, ArtifactErrorKind::Sweep(e.message))
+}
+
 /// Arithmetic mean that reports failure as a typed error naming the
 /// artifact and sweep point (the paper's figure sweeps are never empty,
 /// but a filtered suite can be).

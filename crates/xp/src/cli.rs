@@ -1573,9 +1573,11 @@ fn run(opts: &RunOptions) -> i32 {
     }
     let digest = config_digest(&configs);
 
-    // Pre-warm the shared fit cache so per-artifact fits are lookups.
+    // Pre-warm the shared fit cache so per-artifact fits are lookups. A
+    // failed fit is not cached: each artifact that needs it retries and
+    // reports its own typed error.
     if plan.needs_fit {
-        let _ = validation::fit_model_cached(opts.scale);
+        let _ = validation::fit_model_cached(&lab);
     }
 
     // One batch prime through the executor; artifact-internal primes

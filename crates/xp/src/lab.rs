@@ -190,6 +190,23 @@ impl Lab {
         report
     }
 
+    /// Runs `f` once per item on the sweep executor, uncached, returning
+    /// the results in submission order (or the first point that failed
+    /// after the executor's retries). Non-sweep work — fitting-pipeline
+    /// microbenchmarks, validation and characterization runs — uses this
+    /// so it shares the lab's threads, retry policy and fault plan.
+    ///
+    /// Called from inside a pool worker (a nested map), the items run
+    /// inline on that worker rather than waiting on the busy pool.
+    pub fn map<I, O, F>(&self, items: Vec<I>, f: F) -> Result<Vec<O>, SweepError>
+    where
+        I: Send + 'static,
+        O: Clone + Send + 'static,
+        F: Fn(&I) -> O + Send + Sync + 'static,
+    {
+        self.executor.run(items, f).try_into_values()
+    }
+
     /// Primes the cross product `suite x (configs + the 1-GPM baseline)`.
     /// Figure generators call this before their serial evaluation loops:
     /// every metric (EDPSE, speedup, energy ratio) needs the baseline, so
@@ -381,6 +398,33 @@ mod tests {
             metrics.completed.load(std::sync::atomic::Ordering::Relaxed),
             2
         );
+    }
+
+    #[test]
+    fn map_returns_results_in_submission_order() {
+        for threads in [1, 2] {
+            let lab = Lab::with_threads(Scale::Smoke, threads);
+            let out = lab.map((0u64..16).collect(), |&i| i * i).unwrap();
+            assert_eq!(out, (0u64..16).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn nested_map_runs_inline_on_the_worker() {
+        // Every outer point maps again on the same 2-thread lab. Were the
+        // inner items queued on the pool, both workers could block in
+        // outer points waiting for them and the map would never finish.
+        let lab: &'static Lab = Box::leak(Box::new(Lab::with_threads(Scale::Smoke, 2)));
+        let sums = lab
+            .map((0u64..4).collect(), move |&i| {
+                assert!(runtime::pool::current_worker_index().is_some());
+                lab.map(vec![i, i + 1], |&j| j * 10)
+                    .unwrap()
+                    .into_iter()
+                    .sum::<u64>()
+            })
+            .unwrap();
+        assert_eq!(sums, vec![10, 30, 50, 70]);
     }
 
     #[test]

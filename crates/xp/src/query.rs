@@ -375,7 +375,7 @@ impl xpd::QueryEngine for RegistryEngine {
             }
         }
         if needs_fit {
-            let _ = validation::fit_model_cached(self.scale);
+            let _ = validation::fit_model_cached(&self.lab);
         }
         if !configs.is_empty() {
             let mut points = Vec::with_capacity(self.suite.len() * (configs.len() + 1));

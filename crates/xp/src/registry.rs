@@ -7,7 +7,9 @@
 //! Artifact text output is byte-identical to what the historical one-off
 //! binaries (`cargo run -p xp --bin fig6` and friends) printed.
 
-use crate::artifact::{enveloped, mean_of, Artifact, ArtifactData, ArtifactError, SweepPlan};
+use crate::artifact::{
+    enveloped, failed_at, mean_of, Artifact, ArtifactData, ArtifactError, SweepPlan,
+};
 use crate::configs::ExpConfig;
 use crate::figures::{Fig10, Fig2, Fig6, Fig7, Fig8, Fig9, Headline, PointStudies};
 use crate::lab::Lab;
@@ -17,7 +19,7 @@ use common::table::TextTable;
 use common::units::{Bytes, EnergyPerBit, Power, Time};
 use gpujoule::{EnergyComponent, EpiTable, EptTable};
 use isa::{Opcode, Transaction};
-use microbench::{fit, FitConfig};
+use microbench::{FitConfig, FittedModel};
 use silicon::{TruthModel, VirtualK40};
 use sim::{BwSetting, GpmConfig, GpuConfig, GpuSim, Topology};
 use std::fmt::Write as _;
@@ -389,7 +391,7 @@ fn table1b_artifact() -> DynArtifact {
         composite: false,
         plan: Box::new(SweepPlan::fit),
         eval: Box::new(move |lab, _suite| {
-            let fitted = validation::fit_model_cached(lab.scale());
+            let fitted = validation::fit_model_cached(lab).map_err(failed_at(id, "fit"))?;
             let text = format!(
                 "Table Ib: fitted vs published energy per operation\n{}\nconst power (fitted idle): {}\nEPStall (fitted): {:.3} nJ\n",
                 validation::table1b(&fitted),
@@ -412,11 +414,7 @@ fn fig4a_artifact() -> DynArtifact {
         composite: false,
         plan: Box::new(SweepPlan::fit),
         eval: Box::new(move |lab, _suite| {
-            let scale = lab.scale();
-            let hw = VirtualK40::new();
-            let fitted = validation::fit_model_cached(scale);
-            let model = fitted.to_energy_model();
-            let report = validation::fig4a(&hw, &model, scale);
+            let report = validation::fig4a_cached(lab).map_err(failed_at(id, "validation"))?;
             let text = format!(
                 "Figure 4a: mixed-microbenchmark validation (paper band: +2.5% .. -6%)\n{}\n",
                 validation::render_validation(&report)
@@ -439,12 +437,7 @@ fn fig4b_artifact() -> DynArtifact {
         composite: false,
         plan: Box::new(SweepPlan::fit),
         eval: Box::new(move |lab, _suite| {
-            let scale = lab.scale();
-            let hw = VirtualK40::new();
-            let fitted = validation::fit_model_cached(scale);
-            let model = fitted.to_energy_model();
-            let suite = workloads::suite();
-            let report = validation::fig4b(&hw, &model, &suite, scale);
+            let report = validation::fig4b_cached(lab).map_err(failed_at(id, "validation"))?;
             let outliers = report.outliers(30.0);
             let outlier_names: Vec<&str> = outliers.iter().map(|i| i.name.as_str()).collect();
             let text = format!(
@@ -694,10 +687,27 @@ fn workload_report_artifact() -> DynArtifact {
         plan: Box::new(SweepPlan::none),
         eval: Box::new(move |lab, _suite| {
             let scale = lab.scale();
-            let sim_cfg = |n: usize| match scale {
-                Scale::Full => GpuConfig::paper(n, BwSetting::X2, Topology::Ring),
-                Scale::Smoke => GpuConfig::tiny(n),
-            };
+            let suite = workloads::suite();
+            // One executor point per (workload, GPM count) simulation.
+            let points: Vec<(WorkloadSpec, usize)> = suite
+                .iter()
+                .flat_map(|w| [(w.clone(), 1), (w.clone(), 8)])
+                .collect();
+            let runs = lab
+                .map(points, move |(w, n)| {
+                    let mut sim = GpuSim::new(&match scale {
+                        Scale::Full => GpuConfig::paper(*n, BwSetting::X2, Topology::Ring),
+                        Scale::Smoke => GpuConfig::tiny(*n),
+                    });
+                    let r = sim.run_workload(&w.launches(scale));
+                    let memory = sim.memory();
+                    (
+                        r.total_counts(),
+                        memory.utilization_report(r.total_cycles()),
+                        memory.latency_stats(),
+                    )
+                })
+                .map_err(failed_at(id, "simulation"))?;
 
             let mut t = TextTable::new([
                 "workload",
@@ -712,16 +722,9 @@ fn workload_report_artifact() -> DynArtifact {
                 "remote lat (8-GPM)",
             ]);
             let mut rows = Json::array();
-            for w in workloads::suite() {
-                let mut sim1 = GpuSim::new(&sim_cfg(1));
-                let r1 = sim1.run_workload(&w.launches(scale));
-                let c = r1.total_counts();
-                let u1 = sim1.memory().utilization_report(r1.total_cycles());
-
-                let mut sim8 = GpuSim::new(&sim_cfg(8));
-                let r8 = sim8.run_workload(&w.launches(scale));
-                let u8r = sim8.memory().utilization_report(r8.total_cycles());
-                let lat8 = sim8.memory().latency_stats();
+            for (w, pair) in suite.iter().zip(runs.chunks(2)) {
+                let (c, u1, _) = &pair[0];
+                let (_, u8r, lat8) = &pair[1];
 
                 let instrs = c.total_instructions();
                 let fp64: u64 = c
@@ -765,7 +768,7 @@ fn workload_report_artifact() -> DynArtifact {
             let mut text = format!("Workload characterization ({:?} scale):\n{t}\n", scale);
             let _ = writeln!(text, "Surrogate mapping:");
             let mut mapping = Json::array();
-            for w in workloads::suite() {
+            for w in &suite {
                 let _ = writeln!(
                     text,
                     "  {:<11} {}",
@@ -790,10 +793,9 @@ fn workload_report_artifact() -> DynArtifact {
 // Portability (§IV-B3 — fit two different virtual boards)
 // ---------------------------------------------------------------------------
 
-/// Fits one board and reports recovery of its planted truth. Returns the
+/// Reports how well `fitted` recovers `hw`'s planted truth. Returns the
 /// rendered text plus the JSON row set.
-fn portability_board(label: &str, hw: &VirtualK40, cfg: &FitConfig) -> (String, Json) {
-    let fitted = fit(hw, cfg);
+fn portability_board(label: &str, hw: &VirtualK40, fitted: &FittedModel) -> (String, Json) {
     let truth = hw.truth();
 
     let mut t = TextTable::new(["operation", "fitted", "planted truth", "err %"]);
@@ -874,11 +876,6 @@ fn portability_artifact() -> DynArtifact {
                 compute_iterations: iterations,
                 rounds: 3,
             };
-            let mut text = String::new();
-            let mut boards = Json::array();
-            let (t1, b1) = portability_board("K40-class board", &k40, &k40_cfg);
-            text.push_str(&t1);
-            boards.push(b1);
 
             // Board 2: the Pascal-class part — same pipeline, different
             // silicon.
@@ -892,25 +889,36 @@ fn portability_artifact() -> DynArtifact {
                 compute_iterations: iterations,
                 rounds: 3,
             };
-            let (t2, b2) = portability_board("Pascal-class board", &pascal, &pascal_cfg);
-            text.push_str(&t2);
-            boards.push(b2);
+
+            // Each board is fitted once; the validation loop reuses it.
+            let setups = [
+                ("K40-class", k40, k40_cfg),
+                ("Pascal-class", pascal, pascal_cfg),
+            ];
+            let mut text = String::new();
+            let mut boards = Json::array();
+            let mut fits = Vec::with_capacity(setups.len());
+            for (label, hw, cfg) in &setups {
+                let fitted = validation::fit_cached(lab, hw, cfg).map_err(failed_at(id, "fit"))?;
+                let (t, b) = portability_board(&format!("{label} board"), hw, &fitted);
+                text.push_str(&t);
+                boards.push(b);
+                fits.push(fitted);
+            }
 
             // The fitted models validate on their own boards.
             let mut checks = Json::array();
-            for (label, hw, cfg) in [
-                ("K40-class", &k40, &k40_cfg),
-                ("Pascal-class", &pascal, &pascal_cfg),
-            ] {
-                let model = fit(hw, cfg).to_energy_model();
-                let report = microbench::validate_mixed(hw, &model, &cfg.gpu, target);
+            for ((label, hw, cfg), fitted) in setups.iter().zip(&fits) {
+                let model = fitted.to_energy_model();
+                let report = validation::validate_mixed(lab, hw, &model, &cfg.gpu, target)
+                    .map_err(failed_at(id, "validation"))?;
                 let _ = writeln!(
                     text,
                     "{label} mixed-instruction validation: mean |err| {:.1}% (paper band +2.5/-6%)",
                     report.mean_abs_error_percent()
                 );
                 let mut c = Json::object();
-                c.insert("board", label);
+                c.insert("board", *label);
                 c.insert("mean_abs_error_pct", report.mean_abs_error_percent());
                 checks.push(c);
             }
@@ -943,7 +951,7 @@ fn repro_report_artifact(validation_on: bool) -> DynArtifact {
         eval: Box::new(move |lab, suite| {
             let mut claims = report::evaluate_scaling_claims(lab, suite)?;
             if validation_on {
-                claims.extend(report::evaluate_validation_claims(lab.scale()));
+                claims.extend(report::evaluate_validation_claims(lab)?);
             }
             let passed = claims.iter().filter(|c| c.pass).count();
             let text = format!(
@@ -1040,19 +1048,15 @@ fn all_figures_artifact(validation_on: bool) -> DynArtifact {
             sections.insert("headline", h.to_json());
 
             if validation_on {
-                let scale = lab.scale();
-                let hw = VirtualK40::new();
-                let fitted = validation::fit_model_cached(scale);
+                let fitted = validation::fit_model_cached(lab).map_err(failed_at(id, "fit"))?;
                 let _ = writeln!(text, "\n== Table Ib ==");
                 let _ = writeln!(text, "{}", validation::table1b(&fitted));
                 sections.insert("table1b", validation::table1b_to_json(&fitted));
-                let model = fitted.to_energy_model();
-                let r4a = validation::fig4a(&hw, &model, scale);
+                let r4a = validation::fig4a_cached(lab).map_err(failed_at(id, "validation"))?;
                 let _ = writeln!(text, "\n== Figure 4a ==");
                 let _ = writeln!(text, "{}", validation::render_validation(&r4a));
                 sections.insert("fig4a", validation::validation_to_json(&r4a));
-                let full_suite = workloads::suite();
-                let r4b = validation::fig4b(&hw, &model, &full_suite, scale);
+                let r4b = validation::fig4b_cached(lab).map_err(failed_at(id, "validation"))?;
                 let _ = writeln!(text, "\n== Figure 4b ==");
                 let _ = writeln!(text, "{}", validation::render_validation(&r4b));
                 sections.insert("fig4b", validation::validation_to_json(&r4b));

@@ -6,7 +6,7 @@
 //! row per claim; the same checks back the (slow, `--ignored`) full-scale
 //! integration test.
 
-use crate::artifact::{ArtifactError, ArtifactErrorKind};
+use crate::artifact::{failed_at, ArtifactError, ArtifactErrorKind};
 use crate::figures::{Fig10, Fig2, Fig6, Fig7, Fig8, Fig9, Headline, PointStudies};
 use crate::lab::Lab;
 use common::json::Json;
@@ -240,14 +240,14 @@ pub fn scaling_claims_plan() -> Vec<crate::configs::ExpConfig> {
 }
 
 /// Evaluates the §IV validation claims (Table Ib recovery, Fig. 4a band,
-/// Fig. 4b error structure). Runs the full fitting pipeline, so this is
-/// the expensive half of the report.
-pub fn evaluate_validation_claims(scale: workloads::Scale) -> Vec<Claim> {
+/// Fig. 4b error structure) from the standard board's cached fit and the
+/// memoized Fig. 4a/4b reports, so after the `table1b`, `fig4a` and
+/// `fig4b` artifacts this runs nothing new.
+pub fn evaluate_validation_claims(lab: &Lab) -> Result<Vec<Claim>, ArtifactError> {
     use gpujoule::{EpiTable, EptTable};
-    use silicon::VirtualK40;
+    const ID: &str = "repro_report";
 
-    let hw = VirtualK40::new();
-    let fitted = crate::validation::fit_model_cached(scale);
+    let fitted = crate::validation::fit_model_cached(lab).map_err(failed_at(ID, "fit"))?;
     let mut claims = Vec::new();
 
     let epi_err = fitted.epi.max_relative_error(&EpiTable::k40());
@@ -264,8 +264,7 @@ pub fn evaluate_validation_claims(scale: workloads::Scale) -> Vec<Claim> {
         pass: epi_err < 0.10 && ept_err < 0.10,
     });
 
-    let model = fitted.to_energy_model();
-    let fig4a = crate::validation::fig4a(&hw, &model, scale);
+    let fig4a = crate::validation::fig4a_cached(lab).map_err(failed_at(ID, "validation"))?;
     let in_band = fig4a
         .items()
         .iter()
@@ -281,8 +280,7 @@ pub fn evaluate_validation_claims(scale: workloads::Scale) -> Vec<Claim> {
         pass: in_band,
     });
 
-    let suite = workloads::suite();
-    let fig4b = crate::validation::fig4b(&hw, &model, &suite, scale);
+    let fig4b = crate::validation::fig4b_cached(lab).map_err(failed_at(ID, "validation"))?;
     let mae = fig4b.mean_abs_error_percent();
     let outliers: Vec<String> = fig4b
         .outliers(30.0)
@@ -300,7 +298,7 @@ pub fn evaluate_validation_claims(scale: workloads::Scale) -> Vec<Claim> {
         pass: (5.0..=16.0).contains(&mae) && outliers_ok,
     });
 
-    claims
+    Ok(claims)
 }
 
 /// The JSON form of a claim list: one object per claim plus a summary.
