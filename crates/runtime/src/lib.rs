@@ -57,7 +57,7 @@ pub use executor::{
 };
 pub use faults::{FaultKind, FaultPlan};
 pub use metrics::SweepMetrics;
-pub use pool::{PoolScope, ThreadPool};
+pub use pool::ThreadPool;
 
 /// Environment variable overriding the default worker-thread count.
 pub const THREADS_ENV: &str = "MMGPU_THREADS";

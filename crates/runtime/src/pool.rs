@@ -195,99 +195,6 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Tracks the jobs spawned inside one [`ThreadPool::scope`] call.
-struct ScopeState {
-    /// Jobs spawned but not yet finished.
-    remaining: Mutex<usize>,
-    done: Condvar,
-    /// First panic payload captured from a scoped job.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-/// Spawn handle passed to the closure of [`ThreadPool::scope`]; jobs
-/// spawned through it may borrow from the enclosing stack frame
-/// (`'env`) because the scope joins them all before it returns.
-pub struct PoolScope<'pool, 'env> {
-    pool: &'pool ThreadPool,
-    state: Arc<ScopeState>,
-    /// Invariant in `'env`, like `std::thread::Scope`.
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl<'pool, 'env> PoolScope<'pool, 'env> {
-    /// Submits a job that may borrow data living at least as long as the
-    /// scope. The scope blocks until every spawned job has finished.
-    pub fn spawn<F>(&self, job: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        *self.state.remaining.lock().unwrap() += 1;
-        let state = Arc::clone(&self.state);
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(job);
-        // SAFETY: `scope` joins every spawned job (even on panic) before
-        // returning, so the job cannot outlive the `'env` borrows it
-        // captures. The transmute only erases that lifetime to fit the
-        // pool's `'static` job type.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(job)
-        };
-        self.pool.spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(job));
-            if let Err(payload) = result {
-                let mut slot = state.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-            let mut remaining = state.remaining.lock().unwrap();
-            *remaining -= 1;
-            if *remaining == 0 {
-                state.done.notify_all();
-            }
-        });
-    }
-}
-
-impl ThreadPool {
-    /// Runs `f` with a scope handle whose spawned jobs may borrow local
-    /// state, then blocks until every job has finished — including when
-    /// `f` itself panics, so borrows can never dangle. The first panic
-    /// from a scoped job is re-raised on the calling thread after the
-    /// join (mirroring `std::thread::scope`).
-    pub fn scope<'env, F, T>(&self, f: F) -> T
-    where
-        F: FnOnce(&PoolScope<'_, 'env>) -> T,
-    {
-        let scope = PoolScope {
-            pool: self,
-            state: Arc::new(ScopeState {
-                remaining: Mutex::new(0),
-                done: Condvar::new(),
-                panic: Mutex::new(None),
-            }),
-            _env: std::marker::PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Join all scoped jobs before touching the result: the borrows
-        // they hold must outlive them no matter how `f` exited.
-        {
-            let mut remaining = scope.state.remaining.lock().unwrap();
-            while *remaining > 0 {
-                remaining = scope.state.done.wait(remaining).unwrap();
-            }
-        }
-        match result {
-            Ok(value) => {
-                if let Some(payload) = scope.state.panic.lock().unwrap().take() {
-                    std::panic::resume_unwind(payload);
-                }
-                value
-            }
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,37 +230,6 @@ mod tests {
         }
         drop(pool);
         assert_eq!(counter.load(Ordering::Relaxed), 66);
-    }
-
-    #[test]
-    fn scope_jobs_borrow_the_stack() {
-        let pool = ThreadPool::new(3);
-        let mut results = vec![0u64; 8];
-        pool.scope(|scope| {
-            for (i, slot) in results.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    *slot = i as u64 * 10;
-                });
-            }
-        });
-        assert_eq!(results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
-    }
-
-    #[test]
-    fn scope_propagates_job_panics_after_joining() {
-        let pool = ThreadPool::new(2);
-        let finished = Arc::new(AtomicU64::new(0));
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|scope| {
-                let finished = Arc::clone(&finished);
-                scope.spawn(move || {
-                    finished.fetch_add(1, Ordering::SeqCst);
-                });
-                scope.spawn(|| panic!("scoped boom"));
-            });
-        }));
-        assert!(result.is_err(), "scope must re-raise a job panic");
-        assert_eq!(finished.load(Ordering::SeqCst), 1, "siblings still ran");
     }
 
     #[test]

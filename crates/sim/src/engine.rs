@@ -37,6 +37,11 @@
 //! (and the memory-side counters) are identical. The equivalence
 //! argument is written out in DESIGN.md §12; the `event_equivalence`
 //! proptests and the repo-level golden test pin it in CI.
+//!
+//! One simulation runs on one thread. The §V study is thousands of
+//! independent simulations, and the sweep executor already runs those
+//! side by side on every core; sharding the GPMs of a single simulation
+//! across threads was tried and retired (DESIGN.md §17).
 
 use crate::bits::BitWords;
 use crate::config::GpuConfig;
@@ -50,48 +55,12 @@ use std::sync::Arc;
 /// pointer.
 const NONE: u32 = u32::MAX;
 
-/// A memory access recorded — not performed — by a shard running under
-/// [`MemSink::Defer`]: warp slot `g` of the shard's local pool issued
-/// `mref` this cycle. The parallel coordinator replays these against
-/// the one true [`MemorySystem`] in canonical order (ascending shard,
-/// then the shard's recorded poll order), which is exactly the order
-/// the serial engine performs them — so every memory-side state
-/// transition is bit-identical (DESIGN.md §17).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DeferredAccess {
-    /// Warp-slot index into the *shard-local* pool (`flat * stride + s`).
-    pub(crate) g: u32,
-    /// The access itself.
-    pub(crate) mref: isa::MemRef,
-}
-
-/// Placeholder ring entry for a deferred load: real completion times
-/// are always strictly greater than `now` and far below `u64::MAX`, so
-/// the placeholder keeps the ring occupancy (the MLP limit, the
-/// cannot-retire-with-loads-in-flight rule) exact while being
-/// recognizable for replacement during the merge.
-pub(crate) const DEFER_PLACEHOLDER: u64 = u64::MAX;
-
-/// Where the issue path sends memory accesses: straight into the memory
-/// system (the serial engines), or into a per-shard queue the parallel
-/// coordinator replays in canonical order at the end of the epoch's
-/// compute phase.
-pub(crate) enum MemSink<'a> {
-    /// Perform each access immediately (serial loops).
-    Direct(&'a mut MemorySystem),
-    /// Record each access for the end-of-epoch ordered replay (parallel
-    /// shards). The warp state written alongside is provisional; the
-    /// replay ([`merge_deferred`]) fixes it up before anything can
-    /// observe it.
-    Defer(&'a mut Vec<DeferredAccess>),
-}
-
 /// CTA-to-module partition under a scheduling policy.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CtaPartition {
+struct CtaPartition {
     schedule: crate::config::CtaSchedule,
     ctas: usize,
-    pub(crate) num_gpms: usize,
+    num_gpms: usize,
     per_gpm: usize,
 }
 
@@ -433,22 +402,6 @@ impl WarpPool {
         self.out_len[g] = (len + 1) as u32;
     }
 
-    /// Replaces the single [`DEFER_PLACEHOLDER`] entry in warp `g`'s
-    /// ring with the real completion time the merge just learned. A
-    /// warp issues at most one instruction per cycle, so at most one
-    /// placeholder ever exists per ring.
-    fn ring_replace_placeholder(&mut self, g: usize, t: u64) {
-        debug_assert!(t < DEFER_PLACEHOLDER);
-        let base = g * self.mlp_cap;
-        for r in 0..self.out_len[g] as usize {
-            if self.out_times[base + r] == DEFER_PLACEHOLDER {
-                self.out_times[base + r] = t;
-                return;
-            }
-        }
-        debug_assert!(false, "deferred load left no placeholder in the ring");
-    }
-
     fn ring_min(&self, g: usize) -> Option<u64> {
         let base = g * self.mlp_cap;
         self.out_times[base..base + self.out_len[g] as usize]
@@ -488,9 +441,8 @@ impl WarpPool {
 ///
 /// All modes produce bit-identical [`KernelResult`]s; they differ only in
 /// wall-clock cost. The default is read once per process from the
-/// `MMGPU_SIM_ENGINE` environment variable (`event`, `naive`, `shadow`,
-/// `parallel`, or `shadow-par`), falling back to
-/// [`EngineMode::EventDriven`].
+/// `MMGPU_SIM_ENGINE` environment variable (`event`, `naive`, or
+/// `shadow`), falling back to [`EngineMode::EventDriven`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineMode {
     /// Per-SM wake times with fast-forward over sleeping SMs (the
@@ -506,27 +458,14 @@ pub enum EngineMode {
     /// results and memory-side counters are identical (slowest; for
     /// validation runs and CI equivalence smokes).
     Shadow,
-    /// Shards the GPMs of *one* simulation across worker threads in
-    /// lockstep epochs, merging memory traffic in canonical order at an
-    /// epoch barrier — bit-identical to [`EngineMode::EventDriven`] by
-    /// construction (the determinism contract is DESIGN.md §17). Thread
-    /// count comes from [`GpuSim::set_sim_threads`] or
-    /// `MMGPU_SIM_THREADS`.
-    Parallel,
-    /// Runs the parallel engine on `self` and the naive reference on
-    /// cloned machine state, asserting results and memory-side counters
-    /// are identical (validation runs and CI smokes for the parallel
-    /// engine).
-    ShadowPar,
 }
 
 /// The concrete cycle loop [`GpuSim::run_kernel_with`] dispatches to —
-/// the shadow modes resolve to one of these plus a reference run.
+/// shadow mode resolves to the event loop plus a reference run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LoopKind {
     Naive,
     Event,
-    Parallel,
 }
 
 impl EngineMode {
@@ -540,12 +479,10 @@ impl EngineMode {
                 "event" | "event-driven" => EngineMode::EventDriven,
                 "naive" => EngineMode::Naive,
                 "shadow" => EngineMode::Shadow,
-                "parallel" => EngineMode::Parallel,
-                "shadow-par" | "shadow_par" => EngineMode::ShadowPar,
                 other => {
                     eprintln!(
                         "sim: ignoring unknown MMGPU_SIM_ENGINE={other:?} \
-                         (expected event, naive, shadow, parallel, or shadow-par)"
+                         (expected event, naive, or shadow)"
                     );
                     EngineMode::EventDriven
                 }
@@ -587,17 +524,15 @@ pub struct SoaStats {
     pub retire_scans_skipped: u64,
 }
 
-/// Event-loop bookkeeping for one contiguous run of SMs — the whole GPU
-/// under the serial event-driven loop, one shard's GPM range under the
-/// parallel engine. Holding it outside [`KernelState`] lets the epoch
-/// coordinator patch wake times after the merge without aliasing the
-/// warp pool, and lets each shard carry its own copy.
+/// Per-SM bookkeeping of the event-driven loop, kept apart from
+/// [`KernelState`] so [`EventLoopState::visit`] can borrow both mutably
+/// at once.
 #[derive(Default)]
-pub(crate) struct EventLoopState {
+struct EventLoopState {
     /// Earliest `ready_at` among the SM's live warps; `u64::MAX` when
     /// none. Valid while the SM sleeps because sleeping SMs are exactly
     /// those whose state no cycle can change.
-    pub(crate) ready_wake: Vec<u64>,
+    ready_wake: Vec<u64>,
     /// Free CTA slot && CTA pending — processed at every visited cycle
     /// (the naive loop refills on visited cycles only, so refill times
     /// must not influence which cycles are visited — see DESIGN.md §12).
@@ -614,13 +549,10 @@ pub(crate) struct EventLoopState {
     /// SMs that can still make progress: the per-cycle SM walk scans
     /// this mask word by word instead of testing a dead flag per SM.
     live_mask: BitWords,
-    /// Count of members in `live_mask`; the kernel (or shard) is
-    /// drained when it reaches zero.
-    pub(crate) live: usize,
-    /// Visited-cycle counter. Under the parallel engine every shard
-    /// visits every epoch, so shard-local iteration counts equal the
-    /// serial loop's global count — which keeps the rr catch-up above
-    /// bit-exact.
+    /// Count of members in `live_mask`; the kernel is drained when it
+    /// reaches zero.
+    live: usize,
+    /// Visited-cycle counter (drives the rr catch-up above).
     iter: u64,
 }
 
@@ -629,7 +561,7 @@ impl EventLoopState {
     /// starting at cycle `start`. Every SM begins refill-eligible so the
     /// first visited cycle processes all of them, exactly like the
     /// naive loop.
-    pub(crate) fn reset(&mut self, total_sms: usize, start: u64) {
+    fn reset(&mut self, total_sms: usize, start: u64) {
         self.ready_wake.clear();
         self.ready_wake.resize(total_sms, u64::MAX);
         self.refill_eligible.clear();
@@ -655,11 +587,11 @@ impl EventLoopState {
     /// anywhere issued. The walk is ascending-SM-order identical to the
     /// naive loop's `for flat in 0..total_sms` (each mask word is
     /// snapshotted so the body may retire the SM it is processing).
-    pub(crate) fn visit(
+    fn visit(
         &mut self,
         ctx: &KernelCtx<'_>,
         st: &mut KernelState,
-        sink: &mut MemSink<'_>,
+        mem: &mut MemorySystem,
         soa: &mut SoaStats,
         sm_steps: &mut u64,
         now: u64,
@@ -695,7 +627,7 @@ impl EventLoopState {
                     }
                 }
 
-                let step = GpuSim::step_sm(ctx, st, sink, soa, flat, now);
+                let step = GpuSim::step_sm(ctx, st, mem, soa, flat, now);
                 *sm_steps += 1;
                 if step.issued > 0 {
                     issued_any = true;
@@ -719,14 +651,14 @@ impl EventLoopState {
 
     /// The earliest wake time across all SMs (`u64::MAX` when nothing
     /// is pending) — the fast-forward jump target when no warp issued.
-    pub(crate) fn min_wake(&self) -> u64 {
+    fn min_wake(&self) -> u64 {
         self.ready_wake.iter().copied().min().unwrap_or(u64::MAX)
     }
 
     /// Final flush: the naive loop keeps charging drained SMs one idle
     /// cycle per visited cycle until the whole kernel drains; `through`
     /// is one past the final visited cycle.
-    pub(crate) fn flush_idle(&self, st: &mut KernelState, through: u64) {
+    fn flush_idle(&self, st: &mut KernelState, through: u64) {
         for &charged in &self.acct {
             if charged < through {
                 st.counts.idle_sm_cycles += through - charged;
@@ -735,62 +667,11 @@ impl EventLoopState {
     }
 }
 
-/// Applies one shard's deferred memory accesses in their recorded
-/// (SM-then-poll) order — with shards merged in ascending order by the
-/// caller, exactly the order the serial engine issues them at cycle
-/// `now` — and patches the shard's warp state with the real outcomes:
-/// placeholder ring entries become true completions, write-buffer
-/// backpressure lands on `ready_at`, exhausted warps re-arm to their
-/// true drain time, and each touched SM's wake time is recomputed
-/// exactly (DESIGN.md §17 shows the exact recompute is unobservable).
-/// Returns the number of accesses merged.
-pub(crate) fn merge_deferred(
-    mem: &mut MemorySystem,
-    ctx: &KernelCtx<'_>,
-    st: &mut KernelState,
-    els: &mut EventLoopState,
-    queue: &mut Vec<DeferredAccess>,
-    now: u64,
-) -> u64 {
-    let merged = queue.len() as u64;
-    for acc in queue.drain(..) {
-        let g = acc.g as usize;
-        let flat = g / st.pool.stride;
-        let flat_global = st.sm_base + flat;
-        let gpm = flat_global / ctx.sms_per_gpm;
-        let sm_id = SmId::new(
-            GpmId::new(gpm as u16),
-            (flat_global - gpm * ctx.sms_per_gpm) as u16,
-        );
-        let out = mem.access(sm_id, acc.mref, now);
-        if !acc.mref.is_store {
-            st.pool.ring_replace_placeholder(g, out.completion);
-        } else if out.blocking && !st.pool.exhausted.get(g) {
-            // Write-buffer backpressure, exactly where the direct path
-            // applies it. An exhausted warp discards it in favor of its
-            // drain time (below), as the direct path's ring_max
-            // overwrite does; a warp that already retired this cycle
-            // (store with no loads in flight) has a freed slot whose
-            // `ready_at` the next allocation resets.
-            st.pool.ready_at[g] = out.completion;
-        }
-        if st.pool.exhausted.get(g) {
-            st.pool.ready_at[g] = st.pool.ring_max(g).unwrap_or(now + 1);
-        }
-        // The shard's folded wake time saw placeholders; recompute it
-        // exactly for still-live SMs.
-        if els.live_mask.get(flat) {
-            els.ready_wake[flat] = st.pool.next_ready(flat);
-        }
-    }
-    merged
-}
-
 /// Debug build check that fast-forwarding from `now` to `next` jumps
 /// over no ready event: every live warp's wake-up lies at or beyond the
 /// target. Compiled to nothing in release builds.
 #[allow(unused_variables)]
-pub(crate) fn debug_assert_no_skip(st: &KernelState, now: u64, next: u64) {
+fn debug_assert_no_skip(st: &KernelState, now: u64, next: u64) {
     #[cfg(debug_assertions)]
     if next > now + 1 {
         for flat in 0..st.pool.total_sms {
@@ -819,13 +700,13 @@ struct EngineScratch {
 }
 
 /// Immutable per-kernel parameters shared by every loop implementation.
-pub(crate) struct KernelCtx<'a> {
+struct KernelCtx<'a> {
     program: &'a dyn KernelProgram,
-    pub(crate) partition: CtaPartition,
-    pub(crate) warps_per_cta: usize,
-    pub(crate) issue_width: usize,
-    pub(crate) sms_per_gpm: usize,
-    pub(crate) mlp_per_warp: usize,
+    partition: CtaPartition,
+    warps_per_cta: usize,
+    issue_width: usize,
+    sms_per_gpm: usize,
+    mlp_per_warp: usize,
     gto: bool,
     /// The kernel's single shared instruction sequence, when every warp
     /// runs the same one ([`KernelProgram::uniform_warp_program`]):
@@ -834,47 +715,13 @@ pub(crate) struct KernelCtx<'a> {
     uniform: Option<Arc<[WarpInstr]>>,
 }
 
-/// Mutable per-kernel state for one contiguous run of SMs: the whole
-/// GPU for the serial loops (`sm_base == 0`), one shard's GPM range for
-/// the parallel engine. Warp-pool and `gpm_issued` indices are local to
-/// the range; `sm_base`/`gpm_base` locate it globally.
-pub(crate) struct KernelState {
+/// Mutable per-kernel state for the whole GPU: the warp pool, CTAs
+/// handed out per GPM, and the kernel's event counts.
+struct KernelState {
     pool: WarpPool,
     gpm_issued: Vec<usize>,
-    pub(crate) counts: EventCounts,
-    pub(crate) done_ctas: u32,
-    /// Global flat index of this state's first SM. Always a multiple of
-    /// `sms_per_gpm` (shards own whole GPMs).
-    sm_base: usize,
-    /// First GPM this state owns (`sm_base / sms_per_gpm`).
-    gpm_base: usize,
-}
-
-/// Builds the shard-local [`KernelState`] for GPMs `gpm_lo..gpm_hi`
-/// with a freshly shaped warp pool. Slot ids are unobservable (see
-/// [`WarpPool`]), so a fresh pool per shard cannot perturb results.
-pub(crate) fn shard_state(
-    ctx: &KernelCtx<'_>,
-    max_ctas_per_sm: usize,
-    gpm_lo: usize,
-    gpm_hi: usize,
-) -> KernelState {
-    let shard_sms = (gpm_hi - gpm_lo) * ctx.sms_per_gpm;
-    let mut pool = WarpPool::default();
-    pool.reset(
-        shard_sms,
-        max_ctas_per_sm * ctx.warps_per_cta,
-        max_ctas_per_sm,
-        ctx.mlp_per_warp.max(1),
-    );
-    KernelState {
-        pool,
-        gpm_issued: vec![0; gpm_hi - gpm_lo],
-        counts: EventCounts::new(),
-        done_ctas: 0,
-        sm_base: gpm_lo * ctx.sms_per_gpm,
-        gpm_base: gpm_lo,
-    }
+    counts: EventCounts,
+    done_ctas: u32,
 }
 
 impl KernelState {
@@ -895,7 +742,7 @@ impl KernelState {
 }
 
 /// Outcome of processing one SM at one visited cycle.
-pub(crate) struct SmStep {
+struct SmStep {
     /// Instructions issued this cycle (0..=issue_width).
     issued: usize,
     /// Post-step: the SM still holds live warps.
@@ -950,10 +797,6 @@ pub struct GpuSim {
     mode: EngineMode,
     ff: FastForwardStats,
     soa: SoaStats,
-    par: crate::par::ParStats,
-    /// Worker-thread budget for [`EngineMode::Parallel`]; `None` defers
-    /// to `MMGPU_SIM_THREADS` / the machine's available parallelism.
-    sim_threads: Option<usize>,
     scratch: EngineScratch,
 }
 
@@ -973,8 +816,6 @@ impl GpuSim {
             mode,
             ff: FastForwardStats::default(),
             soa: SoaStats::default(),
-            par: crate::par::ParStats::default(),
-            sim_threads: None,
             scratch: EngineScratch::default(),
         }
     }
@@ -1006,43 +847,19 @@ impl GpuSim {
         self.soa
     }
 
-    /// Parallel-engine counters accumulated over every kernel run so
-    /// far (all zero unless [`EngineMode::Parallel`] /
-    /// [`EngineMode::ShadowPar`] ran).
-    pub fn par_stats(&self) -> crate::par::ParStats {
-        self.par
-    }
-
-    /// Overrides the worker-thread budget the parallel engine may use.
-    /// `None` (the default) defers to `MMGPU_SIM_THREADS`, then to the
-    /// machine's available parallelism. The effective shard count is
-    /// `min(threads, num_gpms)` — shards own whole GPMs, so extra
-    /// threads beyond the GPM count are simply not used.
-    pub fn set_sim_threads(&mut self, threads: Option<usize>) {
-        self.sim_threads = threads;
-    }
-
-    fn resolved_threads(&self) -> usize {
-        self.sim_threads
-            .unwrap_or_else(crate::par::default_threads)
-            .max(1)
-    }
-
     /// Runs one kernel to completion and returns its event counts.
     pub fn run_kernel(&mut self, program: &dyn KernelProgram) -> KernelResult {
         match self.mode {
             EngineMode::EventDriven => self.run_kernel_with(program, LoopKind::Event),
             EngineMode::Naive => self.run_kernel_with(program, LoopKind::Naive),
-            EngineMode::Parallel => self.run_kernel_with(program, LoopKind::Parallel),
-            EngineMode::Shadow => self.run_shadowed(program, LoopKind::Event),
-            EngineMode::ShadowPar => self.run_shadowed(program, LoopKind::Parallel),
+            EngineMode::Shadow => self.run_shadowed(program),
         }
     }
 
     /// Runs the naive reference on a clone of the machine, then the
-    /// checked loop on `self` (which stays authoritative), asserting
+    /// event-driven loop on `self` (which stays authoritative), asserting
     /// bit-identical results and memory-side counters.
-    fn run_shadowed(&mut self, program: &dyn KernelProgram, kind: LoopKind) -> KernelResult {
+    fn run_shadowed(&mut self, program: &dyn KernelProgram) -> KernelResult {
         let mut reference = GpuSim {
             cfg: self.cfg.clone(),
             mem: self.mem.clone(),
@@ -1050,19 +867,13 @@ impl GpuSim {
             mode: EngineMode::Naive,
             ff: FastForwardStats::default(),
             soa: SoaStats::default(),
-            par: crate::par::ParStats::default(),
-            sim_threads: self.sim_threads,
             scratch: EngineScratch::default(),
         };
         let expected = reference.run_kernel_with(program, LoopKind::Naive);
-        let got = self.run_kernel_with(program, kind);
-        let label = match kind {
-            LoopKind::Parallel => "parallel",
-            _ => "event-driven",
-        };
+        let got = self.run_kernel_with(program, LoopKind::Event);
         assert_eq!(
             got, expected,
-            "shadow mode: {label} result diverged from the naive reference"
+            "shadow mode: event-driven result diverged from the naive reference"
         );
         assert_eq!(
             self.now,
@@ -1117,65 +928,33 @@ impl GpuSim {
         let start = self.now;
         let ff_before = self.ff;
         let soa_before = self.soa;
-        let par_before = self.par;
 
-        // The parallel engine runs on shard-local state; it falls back
-        // to the serial event loop (identical results) when the shard
-        // worker pool is held by another simulation in this process.
-        let sharded = if kind == LoopKind::Parallel {
-            let threads = self.resolved_threads();
-            let out = crate::par::run_shards(
-                &mut self.mem,
-                &mut self.par,
-                &mut self.ff,
-                &mut self.soa,
-                &ctx,
-                max_ctas_per_sm,
-                threads,
-                start,
-            );
-            if out.is_none() {
-                self.par.serial_fallbacks += 1;
-            }
-            out
-        } else {
-            None
+        // Reuse the per-kernel allocations owned by the sim: take the
+        // warp-state columns out of the scratch pool, reset them in
+        // place, and return them at kernel end.
+        let mut pool = std::mem::take(&mut self.scratch.pool);
+        pool.reset(
+            total_sms,
+            max_ctas_per_sm * warps_per_cta,
+            max_ctas_per_sm,
+            ctx.mlp_per_warp.max(1),
+        );
+        let mut gpm_issued = std::mem::take(&mut self.scratch.gpm_issued);
+        gpm_issued.clear();
+        gpm_issued.resize(num_gpms, 0);
+        let mut st = KernelState {
+            pool,
+            gpm_issued,
+            counts: EventCounts::new(),
+            done_ctas: 0,
         };
-
-        let (mut now, mut counts, done_ctas) = match sharded {
-            Some(out) => out,
-            None => {
-                // Reuse the per-kernel allocations owned by the sim:
-                // take the warp-state columns out of the scratch pool,
-                // reset them in place, and return them at kernel end.
-                let mut pool = std::mem::take(&mut self.scratch.pool);
-                pool.reset(
-                    total_sms,
-                    max_ctas_per_sm * warps_per_cta,
-                    max_ctas_per_sm,
-                    ctx.mlp_per_warp.max(1),
-                );
-                let mut gpm_issued = std::mem::take(&mut self.scratch.gpm_issued);
-                gpm_issued.clear();
-                gpm_issued.resize(num_gpms, 0);
-                let mut st = KernelState {
-                    pool,
-                    gpm_issued,
-                    counts: EventCounts::new(),
-                    done_ctas: 0,
-                    sm_base: 0,
-                    gpm_base: 0,
-                };
-                let now = if kind == LoopKind::Naive {
-                    self.run_loop_naive(&ctx, &mut st, start)
-                } else {
-                    self.run_loop_event(&ctx, &mut st, start)
-                };
-                self.scratch.pool = std::mem::take(&mut st.pool);
-                self.scratch.gpm_issued = std::mem::take(&mut st.gpm_issued);
-                (now, st.counts, st.done_ctas)
-            }
+        let mut now = match kind {
+            LoopKind::Naive => self.run_loop_naive(&ctx, &mut st, start),
+            LoopKind::Event => self.run_loop_event(&ctx, &mut st, start),
         };
+        self.scratch.pool = std::mem::take(&mut st.pool);
+        self.scratch.gpm_issued = std::mem::take(&mut st.gpm_issued);
+        let (mut counts, done_ctas) = (st.counts, st.done_ctas);
 
         if kind != LoopKind::Naive {
             let d = self.ff;
@@ -1194,22 +973,6 @@ impl GpuSim {
             trace::count(
                 "sim.soa.retire_scans_skipped",
                 s.retire_scans_skipped - soa_before.retire_scans_skipped,
-            );
-        }
-        if kind == LoopKind::Parallel {
-            let p = self.par;
-            trace::count("sim.par.epochs", p.epochs - par_before.epochs);
-            trace::count(
-                "sim.par.merged_accesses",
-                p.merged_accesses - par_before.merged_accesses,
-            );
-            trace::count(
-                "sim.par.barrier_waits",
-                p.barrier_waits - par_before.barrier_waits,
-            );
-            trace::count(
-                "sim.par.serial_fallbacks",
-                p.serial_fallbacks - par_before.serial_fallbacks,
             );
         }
 
@@ -1256,17 +1019,13 @@ impl GpuSim {
     /// skip (`false`).
     ///
     /// An associated function over split borrows so both scheduler scan
-    /// shapes share it without aliasing `KernelState`. Memory traffic
-    /// goes through `sink`: the serial loops pass the memory system
-    /// directly; the parallel engine defers the access to the epoch
-    /// merge and parks a [`DEFER_PLACEHOLDER`] in the outstanding-load
-    /// ring so every occupancy-dependent decision this cycle is
-    /// unchanged (see DESIGN.md §17 for why that is exact).
+    /// shapes share it without aliasing `KernelState`; memory accesses
+    /// go straight into `mem`.
     #[allow(clippy::too_many_arguments)]
     fn poll_issue(
         pool: &mut WarpPool,
         counts: &mut EventCounts,
-        sink: &mut MemSink<'_>,
+        mem: &mut MemorySystem,
         ctx: &KernelCtx,
         sm_id: SmId,
         flat: usize,
@@ -1290,33 +1049,18 @@ impl GpuSim {
                 counts.instrs.add(op, WARP_SIZE as u64);
                 pool.ready_at[g] = now + op.latency_cycles() as u64;
             }
-            WarpInstr::Mem(mref) => match sink {
-                MemSink::Direct(mem) => {
-                    let out = mem.access(sm_id, mref, now);
-                    if out.blocking && !mref.is_store {
-                        pool.ring_push(g, out.completion);
-                        pool.ready_at[g] = now + 1;
-                    } else if out.blocking {
-                        // Write-buffer backpressure.
-                        pool.ready_at[g] = out.completion;
-                    } else {
-                        pool.ready_at[g] = now + 1;
-                    }
-                }
-                MemSink::Defer(queue) => {
-                    // Every load blocks with a future completion, so a
-                    // placeholder ring entry plus the load's universal
-                    // `ready_at = now + 1` reproduces the direct path's
-                    // observable state; stores get the same `now + 1`
-                    // and the merge re-applies write-buffer
-                    // backpressure exactly where the direct path would.
-                    queue.push(DeferredAccess { g: g as u32, mref });
-                    if !mref.is_store {
-                        pool.ring_push(g, DEFER_PLACEHOLDER);
-                    }
+            WarpInstr::Mem(mref) => {
+                let out = mem.access(sm_id, mref, now);
+                if out.blocking && !mref.is_store {
+                    pool.ring_push(g, out.completion);
+                    pool.ready_at[g] = now + 1;
+                } else if out.blocking {
+                    // Write-buffer backpressure.
+                    pool.ready_at[g] = out.completion;
+                } else {
                     pool.ready_at[g] = now + 1;
                 }
-            },
+            }
         }
         pool.streams[g].advance();
         pool.pending[g] = pool.streams[g].current();
@@ -1335,25 +1079,21 @@ impl GpuSim {
     /// Accounting is left to the caller (the two loops charge visited
     /// and slept cycles differently, but through the same rates).
     ///
-    /// `flat` is local to `st`; `st.sm_base`/`st.gpm_base` translate to
-    /// global SM/GPM ids so CTA partitioning and NoC addressing are
-    /// identical whether `st` spans the whole GPU (serial loops) or one
-    /// shard's GPM range (parallel engine).
-    pub(crate) fn step_sm(
+    /// `flat` is the SM's GPU-wide index; its module and in-module id
+    /// follow from `sms_per_gpm`.
+    fn step_sm(
         ctx: &KernelCtx,
         st: &mut KernelState,
-        sink: &mut MemSink<'_>,
+        mem: &mut MemorySystem,
         soa: &mut SoaStats,
         flat: usize,
         now: u64,
     ) -> SmStep {
-        let flat_global = st.sm_base + flat;
-        let gpm = flat_global / ctx.sms_per_gpm;
+        let gpm = flat / ctx.sms_per_gpm;
         let sm_id = SmId::new(
             GpmId::new(gpm as u16),
-            (flat_global - gpm * ctx.sms_per_gpm) as u16,
+            (flat - gpm * ctx.sms_per_gpm) as u16,
         );
-        let gpm_local = gpm - st.gpm_base;
         let issue_width = ctx.issue_width;
         let pool = &mut st.pool;
         let wbase = flat * pool.stride;
@@ -1363,12 +1103,12 @@ impl GpuSim {
         // SM's slots greedily would cluster small grids onto SM0).
         // `cta_next` doubles as the post-step `cta_pending` answer: it
         // is re-read only when this step consumed a CTA.
-        let mut cta_next = ctx.partition.nth_for(gpm, st.gpm_issued[gpm_local]);
+        let mut cta_next = ctx.partition.nth_for(gpm, st.gpm_issued[gpm]);
         if let Some(cta) = cta_next {
             soa.mask_scans += 1;
             if let Some(slot_idx) = pool.cta_first_free(flat) {
-                st.gpm_issued[gpm_local] += 1;
-                cta_next = ctx.partition.nth_for(gpm, st.gpm_issued[gpm_local]);
+                st.gpm_issued[gpm] += 1;
+                cta_next = ctx.partition.nth_for(gpm, st.gpm_issued[gpm]);
                 let cslot = flat * pool.cta_stride + slot_idx;
                 pool.cta_live[cslot] = ctx.warps_per_cta as u32;
                 pool.cta_free.unset(cslot);
@@ -1459,7 +1199,7 @@ impl GpuSim {
                     };
                     let s = pool.order[wbase + p];
                     let g = wbase + s as usize;
-                    if Self::poll_issue(pool, &mut st.counts, sink, ctx, sm_id, flat, g, now) {
+                    if Self::poll_issue(pool, &mut st.counts, mem, ctx, sm_id, flat, g, now) {
                         if first_issued_slot == NONE {
                             first_issued_slot = s;
                         }
@@ -1515,7 +1255,7 @@ impl GpuSim {
                     if pool.ready_at[g] > now {
                         continue;
                     }
-                    if Self::poll_issue(pool, &mut st.counts, sink, ctx, sm_id, flat, g, now) {
+                    if Self::poll_issue(pool, &mut st.counts, mem, ctx, sm_id, flat, g, now) {
                         if first_issued_slot == NONE {
                             first_issued_slot = i as u32;
                         }
@@ -1601,8 +1341,7 @@ impl GpuSim {
             let mut all_drained = true;
 
             for flat in 0..total_sms {
-                let mut sink = MemSink::Direct(&mut self.mem);
-                let step = Self::step_sm(ctx, st, &mut sink, &mut self.soa, flat, now);
+                let step = Self::step_sm(ctx, st, &mut self.mem, &mut self.soa, flat, now);
                 if step.issued > 0 {
                     issued_any = true;
                 }
@@ -1673,11 +1412,10 @@ impl GpuSim {
 
         loop {
             self.ff.visited_cycles += 1;
-            let mut sink = MemSink::Direct(&mut self.mem);
             let issued_any = els.visit(
                 ctx,
                 st,
-                &mut sink,
+                &mut self.mem,
                 &mut self.soa,
                 &mut self.ff.sm_steps,
                 now,
@@ -2305,167 +2043,5 @@ mod tests {
         let rn = naive.run_kernel(&EmptyKernel);
         assert_eq!(re, rn);
         assert_eq!(re.ctas, 3);
-    }
-
-    /// Runs `k` under the event-driven and the parallel engine (with
-    /// `threads` shard workers) on `cfg`, asserting bit-identical
-    /// results and memory-side counters.
-    fn assert_parallel_matches(cfg: &GpuConfig, threads: usize, k: &dyn KernelProgram) {
-        let mut event = GpuSim::with_mode(cfg, EngineMode::EventDriven);
-        let mut par = GpuSim::with_mode(cfg, EngineMode::Parallel);
-        par.set_sim_threads(Some(threads));
-        event.prefault(k);
-        par.prefault(k);
-        assert_eq!(par.run_kernel(k), event.run_kernel(k));
-        assert_eq!(par.now, event.now, "clocks diverged");
-        assert_eq!(par.memory().txns(), event.memory().txns());
-        assert_eq!(
-            par.memory().inter_gpm_hop_bytes(),
-            event.memory().inter_gpm_hop_bytes()
-        );
-        // The kernel ran sharded or fell back serially (pool held by a
-        // concurrent test); either way it was accounted exactly once.
-        let p = par.par_stats();
-        assert_eq!(p.kernels + p.serial_fallbacks, 1);
-    }
-
-    #[test]
-    fn parallel_matches_event_driven_on_streams() {
-        let k = StreamKernel {
-            ctas: 24,
-            warps: 4,
-            lines_per_warp: 32,
-        };
-        assert_parallel_matches(&GpuConfig::tiny(4), 4, &k);
-    }
-
-    #[test]
-    fn parallel_matches_event_driven_on_compute() {
-        let k = ComputeKernel {
-            ctas: 32,
-            warps: 8,
-            len: 64,
-        };
-        assert_parallel_matches(&GpuConfig::tiny(8), 4, &k);
-    }
-
-    #[test]
-    fn parallel_matches_event_driven_under_gto() {
-        let k = StreamKernel {
-            ctas: 16,
-            warps: 4,
-            lines_per_warp: 24,
-        };
-        let cfg = GpuConfig {
-            warp_scheduler: crate::config::WarpScheduler::GreedyThenOldest,
-            ..GpuConfig::tiny(4)
-        };
-        assert_parallel_matches(&cfg, 2, &k);
-    }
-
-    #[test]
-    fn parallel_single_gpm_runs_inline_without_pool() {
-        // One GPM => one shard: the defer/merge machinery runs on the
-        // caller thread, cannot fall back, and must still be exact.
-        let k = StreamKernel {
-            ctas: 8,
-            warps: 4,
-            lines_per_warp: 16,
-        };
-        let cfg = GpuConfig::tiny(1);
-        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
-        let mut par = GpuSim::with_mode(&cfg, EngineMode::Parallel);
-        par.set_sim_threads(Some(8));
-        assert_eq!(par.run_kernel(&k), event.run_kernel(&k));
-        let p = par.par_stats();
-        assert_eq!(p.kernels, 1, "single-shard runs never fall back");
-        assert_eq!(p.serial_fallbacks, 0);
-        assert_eq!(p.barrier_waits, 0, "no pool engaged for one shard");
-        assert!(p.epochs > 0);
-        assert!(p.merged_accesses > 0, "stream kernel defers loads");
-    }
-
-    #[test]
-    fn parallel_thread_count_exceeding_gpms_degenerates_cleanly() {
-        // More threads than GPMs: shard count clamps to the GPM count.
-        let k = StreamKernel {
-            ctas: 12,
-            warps: 4,
-            lines_per_warp: 16,
-        };
-        assert_parallel_matches(&GpuConfig::tiny(2), 16, &k);
-    }
-
-    #[test]
-    fn parallel_holds_across_multi_kernel_workloads() {
-        // Persistent state (L2 contents, page placements, clock) must
-        // stay bit-equal launch after launch under the parallel engine.
-        let cfg = GpuConfig::tiny(4);
-        let launches = vec![
-            LaunchSpec::repeated(
-                Box::new(StreamKernel {
-                    ctas: 16,
-                    warps: 4,
-                    lines_per_warp: 16,
-                }),
-                2,
-            ),
-            LaunchSpec::repeated(
-                Box::new(ComputeKernel {
-                    ctas: 8,
-                    warps: 4,
-                    len: 40,
-                }),
-                1,
-            ),
-        ];
-        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
-        let mut par = GpuSim::with_mode(&cfg, EngineMode::Parallel);
-        par.set_sim_threads(Some(4));
-        assert_eq!(par.run_workload(&launches), event.run_workload(&launches));
-        assert_eq!(par.now, event.now);
-    }
-
-    #[test]
-    fn shadow_par_mode_asserts_against_naive_internally() {
-        let k = StreamKernel {
-            ctas: 8,
-            warps: 4,
-            lines_per_warp: 16,
-        };
-        let cfg = GpuConfig::tiny(2);
-        let mut shadow = GpuSim::with_mode(&cfg, EngineMode::ShadowPar);
-        shadow.set_sim_threads(Some(2));
-        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
-        assert_eq!(shadow.run_kernel(&k), event.run_kernel(&k));
-        assert_eq!(shadow.mode(), EngineMode::ShadowPar);
-    }
-
-    #[test]
-    fn parallel_empty_grid_degenerates_cleanly() {
-        struct EmptyKernel;
-        impl KernelProgram for EmptyKernel {
-            fn name(&self) -> &str {
-                "empty"
-            }
-            fn grid(&self) -> GridShape {
-                GridShape::new(3, 2)
-            }
-            fn warp_instructions(&self, _cta: CtaId, _warp: WarpId) -> WarpInstrStream {
-                Box::new(std::iter::empty())
-            }
-        }
-        assert_parallel_matches(&GpuConfig::tiny(4), 4, &EmptyKernel);
-    }
-
-    #[test]
-    fn serial_modes_leave_parallel_stats_untouched() {
-        let mut sim = GpuSim::with_mode(&GpuConfig::tiny(2), EngineMode::EventDriven);
-        sim.run_kernel(&ComputeKernel {
-            ctas: 4,
-            warps: 2,
-            len: 16,
-        });
-        assert_eq!(sim.par_stats(), crate::par::ParStats::default());
     }
 }

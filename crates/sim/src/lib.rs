@@ -40,7 +40,6 @@ pub mod inflight;
 pub mod memory;
 pub mod noc;
 pub mod pages;
-pub mod par;
 pub mod results;
 
 pub use bits::BitWords;
@@ -50,5 +49,4 @@ pub use config::{
 pub use engine::{EngineMode, FastForwardStats, GpuSim, SoaStats};
 pub use inflight::InflightTable;
 pub use memory::{MemOutcome, MemorySystem, UtilizationReport};
-pub use par::{ParStats, SIM_THREADS_ENV};
 pub use results::{KernelResult, WorkloadResult};

@@ -254,97 +254,6 @@ proptest! {
         }
     }
 
-    /// The parallel sharded engine is bit-identical to the serial
-    /// event-driven engine — same kernel results (clock, instruction
-    /// and transaction counts, hop bytes, and therefore the same energy
-    /// breakdown, which is a pure function of these counts) — across
-    /// random kernels, configurations (both schedulers, all
-    /// topologies), GPM counts, MLP extremes, and thread counts,
-    /// including kernel-after-kernel state carry-over. This is the
-    /// determinism contract of DESIGN.md §17.
-    #[test]
-    fn parallel_engine_matches_event_driven(
-        seed in any::<u64>(),
-        cfg_bits in any::<u64>(),
-        gpms in 1usize..5,
-        threads in 1usize..7,
-        mlp in prop_oneof![Just(1usize), Just(4usize), Just(64usize)],
-        ctas in 1u32..24,
-        warps in 1u32..5,
-        max_instrs in 0u32..40,
-    ) {
-        let mut cfg = fuzz_config(cfg_bits, gpms);
-        cfg.gpm.mlp_per_warp = mlp;
-        let kernel = FuzzKernel { seed, ctas, warps_per_cta: warps, max_instrs };
-
-        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
-        let mut par = GpuSim::with_mode(&cfg, EngineMode::Parallel);
-        par.set_sim_threads(Some(threads));
-        event.prefault(&kernel);
-        par.prefault(&kernel);
-        for _ in 0..2 {
-            let re = event.run_kernel(&kernel);
-            let rp = par.run_kernel(&kernel);
-            prop_assert_eq!(&rp, &re);
-        }
-        prop_assert_eq!(par.memory().txns(), event.memory().txns());
-        prop_assert_eq!(
-            par.memory().inter_gpm_hop_bytes(),
-            event.memory().inter_gpm_hop_bytes()
-        );
-    }
-
-    /// Degenerate shard shapes: a single GPM (one shard, run inline on
-    /// the caller thread, no worker pool) and a thread count that far
-    /// exceeds the GPM count (shard count clamps to the GPM count, one
-    /// GPM per shard). Both must remain bit-identical to the serial
-    /// event-driven engine.
-    #[test]
-    fn parallel_degenerate_shards_stay_equivalent(
-        seed in any::<u64>(),
-        cfg_bits in any::<u64>(),
-        single_gpm in any::<bool>(),
-        ctas in 1u32..16,
-        warps in 1u32..4,
-        max_instrs in 0u32..32,
-    ) {
-        let gpms = if single_gpm { 1 } else { 3 };
-        let cfg = fuzz_config(cfg_bits, gpms);
-        let kernel = FuzzKernel { seed, ctas, warps_per_cta: warps, max_instrs };
-
-        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
-        let mut par = GpuSim::with_mode(&cfg, EngineMode::Parallel);
-        par.set_sim_threads(Some(16));
-        event.prefault(&kernel);
-        par.prefault(&kernel);
-        let re = event.run_kernel(&kernel);
-        let rp = par.run_kernel(&kernel);
-        prop_assert_eq!(&rp, &re);
-        prop_assert_eq!(par.memory().txns(), event.memory().txns());
-    }
-
-    /// `EngineMode::ShadowPar` re-runs every kernel on the naive
-    /// reference and asserts internally; surviving a fuzzed workload is
-    /// itself the property. The visible result must equal the
-    /// event-driven engine's.
-    #[test]
-    fn shadow_par_mode_survives_fuzzed_kernels(
-        seed in any::<u64>(),
-        cfg_bits in any::<u64>(),
-        gpms in 1usize..4,
-        ctas in 1u32..12,
-        max_instrs in 0u32..24,
-    ) {
-        let cfg = fuzz_config(cfg_bits, gpms);
-        let kernel = FuzzKernel { seed, ctas, warps_per_cta: 2, max_instrs };
-        let mut shadow = GpuSim::with_mode(&cfg, EngineMode::ShadowPar);
-        shadow.set_sim_threads(Some(2));
-        let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
-        shadow.prefault(&kernel);
-        event.prefault(&kernel);
-        prop_assert_eq!(shadow.run_kernel(&kernel), event.run_kernel(&kernel));
-    }
-
     /// Fast-forward must never jump past a cycle where a warp becomes
     /// ready. The loop itself debug-asserts exactly this on every jump
     /// (active in this test build); shadow mode additionally re-runs the

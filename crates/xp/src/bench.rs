@@ -2,14 +2,12 @@
 //!
 //! Times [`sim::GpuSim::run_kernel`] on representative compute-, memory-,
 //! and NoC-bound workloads at 1, 8, and 32 GPMs — each under the
-//! event-driven loop, the naive per-cycle loop, and the sharded parallel
-//! engine — and writes the results as a machine-readable
-//! `BENCH_sim.json`: wall time per run, simulated cycles per second, the
-//! event-vs-naive speedup, and the parallel-vs-event speedup.
+//! event-driven loop and the naive per-cycle loop — and writes the
+//! results as a machine-readable `BENCH_sim.json`: wall time per run,
+//! simulated cycles per second, and the event-vs-naive speedup.
 //!
-//! Before any timing, every scenario is run once in all three modes and
-//! the simulated cycle counts are asserted equal: the bench doubles as a
-//! cheap determinism smoke for the parallel engine (DESIGN.md §17).
+//! Before any timing, every scenario is run once in both modes and the
+//! simulated cycle counts are asserted equal.
 //!
 //! Regression gating is two-tiered, both against a recorded baseline
 //! file (the committed `BENCH_sim.json` at the repository root):
@@ -60,9 +58,6 @@ pub struct BenchOptions {
     /// With `baseline_update`: permit writing numbers below the
     /// recorded envelope.
     pub allow_regress: bool,
-    /// Worker-thread budget for the parallel engine (`None` = the
-    /// simulator default: `MMGPU_SIM_THREADS` or the host parallelism).
-    pub threads: Option<usize>,
 }
 
 /// Speedup-ratio drop (vs baseline) that prints a warning.
@@ -73,12 +68,6 @@ const FAIL_DROP: f64 = 0.25;
 /// (nothing for fast-forward to skip), so they are reported but not
 /// gated — compute-bound kernels sit here by design.
 const GATE_MIN_SPEEDUP: f64 = 1.5;
-/// Parallel-vs-event speedups below this in the *baseline* disable the
-/// parallel gate for that scenario: a single-core recording host
-/// measures barrier overhead, not scaling, and its ~1x (or worse)
-/// numbers must never gate a multi-core CI machine. The gate arms
-/// itself only once a committed baseline demonstrates real speedup.
-const GATE_MIN_PAR_SPEEDUP: f64 = 1.2;
 
 /// The workload flavor a scenario stresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,15 +224,8 @@ impl Scenario {
     /// returns the simulated cycle count so the caller can report
     /// cycles-per-second.
     fn run(&self, mode: EngineMode) -> u64 {
-        self.run_with(mode, None)
-    }
-
-    /// Like [`Scenario::run`], with an explicit worker-thread budget for
-    /// the parallel engine (ignored by the serial modes).
-    fn run_with(&self, mode: EngineMode, threads: Option<usize>) -> u64 {
         let cfg = self.config();
         let mut sim = GpuSim::with_mode(&cfg, mode);
-        sim.set_sim_threads(threads);
         let program = self.program();
         if self.kind != Kind::Compute {
             sim.prefault(program.as_ref());
@@ -278,14 +260,11 @@ struct Timing {
 fn time_mode(
     s: &Scenario,
     mode: EngineMode,
-    threads: Option<usize>,
     warm: Duration,
     budget: Duration,
     cycles: u64,
 ) -> Timing {
-    let m = criterion::measure(warm, budget, || {
-        criterion::black_box(s.run_with(mode, threads))
-    });
+    let m = criterion::measure(warm, budget, || criterion::black_box(s.run(mode)));
     Timing {
         iters: m.iters,
         total_secs: m.total_secs,
@@ -318,9 +297,6 @@ fn format_secs(secs: f64) -> String {
 struct BaselineEntry {
     name: String,
     speedup: f64,
-    /// Parallel-vs-event speedup, when the baseline records it (older
-    /// files predate the parallel engine).
-    par_speedup: Option<f64>,
     /// Absolute event-loop throughput, when the baseline records it
     /// (older files may predate the field).
     event_cps: Option<f64>,
@@ -367,7 +343,6 @@ fn load_baseline(path: &std::path::Path) -> Result<Vec<BaselineEntry>, String> {
         out.push(BaselineEntry {
             name: name.to_string(),
             speedup,
-            par_speedup: s.get("par_speedup").and_then(Json::as_f64),
             event_cps: cps("event"),
             naive_cps: cps("naive"),
         });
@@ -417,7 +392,6 @@ struct Measured {
     name: String,
     event_cps: f64,
     naive_cps: f64,
-    par_speedup: f64,
 }
 
 /// Entry point for `xp bench`. Returns the process exit code: 0 on
@@ -456,17 +430,15 @@ pub fn run(opts: &BenchOptions) -> i32 {
     }
 
     println!(
-        "{:<16} {:>12} {:>12} {:>12} {:>9} {:>7} {:>12}  vs baseline",
-        "scenario", "event", "naive", "parallel", "speedup", "par", "Mcycles/s"
+        "{:<16} {:>12} {:>12} {:>9} {:>12}  vs baseline",
+        "scenario", "event", "naive", "speedup", "Mcycles/s"
     );
     let mut rows = Json::array();
     let mut measured = Vec::new();
     let mut warnings = 0usize;
     let mut failures = 0usize;
     for s in &scenarios {
-        // Correctness first: all three engines must simulate the same
-        // cycles (the parallel engine's determinism contract makes this
-        // bit-exact, not approximate).
+        // Correctness first: both loops must simulate the same cycles.
         let cycles = s.run(EngineMode::EventDriven);
         let naive_cycles = s.run(EngineMode::Naive);
         assert_eq!(
@@ -474,18 +446,10 @@ pub fn run(opts: &BenchOptions) -> i32 {
             "{}: event-driven and naive loops disagree on simulated cycles",
             s.name
         );
-        let par_cycles = s.run_with(EngineMode::Parallel, opts.threads);
-        assert_eq!(
-            cycles, par_cycles,
-            "{}: parallel engine disagrees with the event-driven loop on simulated cycles",
-            s.name
-        );
 
-        let event = time_mode(s, EngineMode::EventDriven, None, warm, budget, cycles);
-        let naive = time_mode(s, EngineMode::Naive, None, warm, budget, cycles);
-        let par = time_mode(s, EngineMode::Parallel, opts.threads, warm, budget, cycles);
+        let event = time_mode(s, EngineMode::EventDriven, warm, budget, cycles);
+        let naive = time_mode(s, EngineMode::Naive, warm, budget, cycles);
         let speedup = naive.mean_secs / event.mean_secs;
-        let par_speedup = event.mean_secs / par.mean_secs;
 
         let verdict = match baseline
             .as_ref()
@@ -510,13 +474,11 @@ pub fn run(opts: &BenchOptions) -> i32 {
         };
 
         println!(
-            "{:<16} {:>12} {:>12} {:>12} {:>8.2}x {:>6.2}x {:>12.1}  {verdict}",
+            "{:<16} {:>12} {:>12} {:>8.2}x {:>12.1}  {verdict}",
             s.name,
             format_secs(event.mean_secs),
             format_secs(naive.mean_secs),
-            format_secs(par.mean_secs),
             speedup,
-            par_speedup,
             event.cycles_per_sec / 1e6,
         );
 
@@ -527,55 +489,13 @@ pub fn run(opts: &BenchOptions) -> i32 {
         row.insert("cycles", cycles);
         row.insert("event", timing_json(&event));
         row.insert("naive", timing_json(&naive));
-        row.insert("parallel", timing_json(&par));
         row.insert("speedup", speedup);
-        row.insert("par_speedup", par_speedup);
         rows.push(row);
         measured.push(Measured {
             name: s.name.clone(),
             event_cps: event.cycles_per_sec,
             naive_cps: naive.cycles_per_sec,
-            par_speedup,
         });
-    }
-
-    // Parallel-engine scaling gate: armed per scenario only when the
-    // committed baseline itself demonstrates a real multi-thread
-    // speedup (recorded on a multi-core host). A baseline recorded on a
-    // single-core machine stores ~1x parallel speedups, which leaves
-    // this gate disarmed rather than punishing faster hosts — the
-    // machine-independence rule the speedup-ratio gate already follows.
-    if let Some(b) = &baseline {
-        for m in &measured {
-            let Some(base_par) = b
-                .iter()
-                .find(|e| e.name == m.name)
-                .and_then(|e| e.par_speedup)
-            else {
-                continue;
-            };
-            if base_par < GATE_MIN_PAR_SPEEDUP {
-                continue;
-            }
-            let drop = 1.0 - m.par_speedup / base_par;
-            if drop > FAIL_DROP {
-                failures += 1;
-                println!(
-                    "{:<16} FAIL parallel: {:.2}x vs {base_par:.2}x recorded (-{:.0}%)",
-                    m.name,
-                    m.par_speedup,
-                    drop * 100.0
-                );
-            } else if drop > WARN_DROP {
-                warnings += 1;
-                println!(
-                    "{:<16} warn parallel: {:.2}x vs {base_par:.2}x recorded (-{:.0}%)",
-                    m.name,
-                    m.par_speedup,
-                    drop * 100.0
-                );
-            }
-        }
     }
 
     // Machine-calibrated absolute throughput gate: normalize this
@@ -626,11 +546,6 @@ pub fn run(opts: &BenchOptions) -> i32 {
     report.insert("warn_drop", WARN_DROP);
     report.insert("fail_drop", FAIL_DROP);
     report.insert("gate_min_speedup", GATE_MIN_SPEEDUP);
-    report.insert("gate_min_par_speedup", GATE_MIN_PAR_SPEEDUP);
-    match opts.threads {
-        Some(t) => report.insert("sim_threads", t),
-        None => report.insert("sim_threads", "auto"),
-    };
     report.insert("scenarios", rows);
 
     let out = opts
@@ -719,21 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scenarios_simulate_identically_to_event_driven() {
-        // The multi-GPM points actually shard; 1 GPM exercises the
-        // degenerate inline path. Both must hold the bit-identity
-        // contract the full `xp bench` run asserts before timing.
-        for s in suite().into_iter().filter(|s| s.gpms <= 8) {
-            assert_eq!(
-                s.run(EngineMode::EventDriven),
-                s.run_with(EngineMode::Parallel, Some(4)),
-                "{} diverged under the parallel engine",
-                s.name
-            );
-        }
-    }
-
-    #[test]
     fn baseline_parsing_rejects_malformed_files() {
         let dir = std::env::temp_dir().join("xp-bench-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -748,7 +648,6 @@ mod tests {
             vec![BaselineEntry {
                 name: "memory/8gpm".to_string(),
                 speedup: 3.5,
-                par_speedup: None,
                 event_cps: None,
                 naive_cps: None,
             }]
@@ -775,29 +674,12 @@ mod tests {
         let b = load_baseline(&p).unwrap();
         assert_eq!(b[0].event_cps, Some(50000.0));
         assert_eq!(b[0].naive_cps, Some(25000.0));
-        assert_eq!(b[0].par_speedup, None);
-    }
-
-    #[test]
-    fn baseline_parsing_reads_parallel_speedup() {
-        let dir = std::env::temp_dir().join("xp-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("par.json");
-        std::fs::write(
-            &p,
-            r#"{"scenarios": [{"name": "compute/32gpm", "speedup": 1.0,
-                "par_speedup": 4.2}]}"#,
-        )
-        .unwrap();
-        let b = load_baseline(&p).unwrap();
-        assert_eq!(b[0].par_speedup, Some(4.2));
     }
 
     fn entry(name: &str, event: f64, naive: f64) -> BaselineEntry {
         BaselineEntry {
             name: name.to_string(),
             speedup: event / naive,
-            par_speedup: None,
             event_cps: Some(event),
             naive_cps: Some(naive),
         }
@@ -808,7 +690,6 @@ mod tests {
             name: name.to_string(),
             event_cps: event,
             naive_cps: naive,
-            par_speedup: 1.0,
         }
     }
 
@@ -832,7 +713,6 @@ mod tests {
         let old = vec![BaselineEntry {
             name: "a".into(),
             speedup: 1.0,
-            par_speedup: None,
             event_cps: None,
             naive_cps: None,
         }];

@@ -144,8 +144,7 @@ commands:
   check <dir>              re-parse JSON results emitted by `run --out`
   trace summary <file>     per-span statistics + counters from a --trace file
   bench                    time the simulator hot path (event-driven vs naive
-                           cycle loop vs the sharded parallel engine) and
-                           write BENCH_sim.json
+                           cycle loop) and write BENCH_sim.json
   serve                    run the xpd what-if daemon: answer artifact queries
                            from a content-addressed disk store, computing cold
                            ones through the sweep executor
@@ -204,9 +203,9 @@ serve options:
 query options:
   --socket PATH | --tcp ADDR   where the daemon listens (required)
   --set KEY=VALUE          config delta applied to the artifact's whole sweep
-                           (repeatable); keys: gpms, bw (1x|2x|4x), topology
-                           (ring|switch|ideal), link_energy_mult,
-                           link_compression, clock_scale, mlp
+                           (repeatable); keys: gpms (1-32), bw (1x|2x|4x),
+                           topology (ring|switch|ideal), link_energy_mult,
+                           link_compression, clock_scale, mlp (1-64)
   --stats                  print the daemon's live counters instead of a query
   --health                 print the daemon's readiness probe (queue depth,
                            in-flight count, store stats) instead of a query
@@ -247,9 +246,6 @@ bench options:
                            file as a throughput envelope: refuses to lower a
                            recorded event-loop cycles/sec floor
   --allow-regress          with --baseline-update, accept a lowered envelope
-  --threads N              worker threads for the parallel-engine side
-                           (default: MMGPU_SIM_THREADS, else host parallelism;
-                           serial modes are unaffected)
 ";
 
 /// Parsed `--faults` specification: rates for each injected fault kind
@@ -406,15 +402,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
                     }
                     "--baseline-update" => opts.baseline_update = true,
                     "--allow-regress" => opts.allow_regress = true,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp bench: --threads: missing value".to_string())?;
-                        opts.threads = Some(parse_threads(v)?);
-                    }
-                    other if other.starts_with("--threads=") => {
-                        opts.threads = Some(parse_threads(&other["--threads=".len()..])?);
-                    }
                     other => return Err(format!("xp bench: unknown option {other}\n\n{USAGE}")),
                 }
             }
@@ -2028,8 +2015,6 @@ mod tests {
             "memory",
             "--baseline-update",
             "--allow-regress",
-            "--threads",
-            "4",
         ])) else {
             panic!("expected a bench command");
         };
@@ -2039,7 +2024,6 @@ mod tests {
         assert_eq!(opts.filter.as_deref(), Some("memory"));
         assert!(opts.baseline_update);
         assert!(opts.allow_regress);
-        assert_eq!(opts.threads, Some(4));
 
         let Ok(Command::Bench(opts)) = parse(&argv(&["bench"])) else {
             panic!("expected a bench command");
@@ -2048,19 +2032,14 @@ mod tests {
         assert!(opts.out.is_none());
         assert!(!opts.baseline_update);
         assert!(!opts.allow_regress);
-        assert_eq!(opts.threads, None);
-
-        let Ok(Command::Bench(opts)) = parse(&argv(&["bench", "--threads=8"])) else {
-            panic!("expected a bench command");
-        };
-        assert_eq!(opts.threads, Some(8));
 
         assert!(parse(&argv(&["bench", "--frobnicate"])).is_err());
         assert!(parse(&argv(&["bench", "--out"])).is_err());
         assert!(parse(&argv(&["bench", "--baseline"])).is_err());
         assert!(parse(&argv(&["bench", "--filter"])).is_err());
-        assert!(parse(&argv(&["bench", "--threads", "0"])).is_err());
-        assert!(parse(&argv(&["bench", "--threads", "x"])).is_err());
+        // Sweep threads do not apply to the single-threaded hot path.
+        assert!(parse(&argv(&["bench", "--threads", "2"])).is_err());
+        assert!(parse(&argv(&["bench", "--threads=8"])).is_err());
     }
 
     #[test]

@@ -87,10 +87,19 @@ pub fn artifact_file_bytes(json: &Json) -> String {
     format!("{}\n", json.render_pretty())
 }
 
+/// Largest `--set gpms`: the top of the paper's module-count sweep.
+pub const MAX_SET_GPMS: usize = crate::configs::GPM_COUNTS[crate::configs::GPM_COUNTS.len() - 1];
+
+/// Largest `--set mlp`: the widest per-warp load window the engine
+/// equivalence proptests cover. The engine sizes a ring of this many
+/// entries per warp slot, so the bound also caps what one query can
+/// allocate.
+pub const MAX_SET_MLP: usize = 64;
+
 /// The `--set` keys [`apply_sets`] understands, for error messages and
 /// usage text.
-pub const SET_KEYS: &str = "gpms, bw (1x|2x|4x), topology (ring|switch|ideal), link_energy_mult, \
-     link_compression, clock_scale, mlp";
+pub const SET_KEYS: &str = "gpms (1-32), bw (1x|2x|4x), topology (ring|switch|ideal), \
+     link_energy_mult, link_compression, clock_scale, mlp (1-64)";
 
 /// Applies `key=value` config deltas to one experiment configuration.
 /// Setting `bw` also re-derives the paper's default integration domain
@@ -102,10 +111,10 @@ pub fn apply_sets(base: &ExpConfig, sets: &[(String, String)]) -> Result<ExpConf
         match key.as_str() {
             "gpms" => {
                 cfg.gpms = match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
+                    Ok(n) if (1..=MAX_SET_GPMS).contains(&n) => n,
                     _ => {
                         return Err(format!(
-                            "set gpms: expected a positive integer, got {value:?}"
+                            "set gpms: expected an integer in 1..={MAX_SET_GPMS}, got {value:?}"
                         ))
                     }
                 };
@@ -166,10 +175,10 @@ pub fn apply_sets(base: &ExpConfig, sets: &[(String, String)]) -> Result<ExpConf
             }
             "mlp" => {
                 cfg.mlp_per_warp = match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => Some(n),
+                    Ok(n) if (1..=MAX_SET_MLP).contains(&n) => Some(n),
                     _ => {
                         return Err(format!(
-                            "set mlp: expected a positive integer, got {value:?}"
+                            "set mlp: expected an integer in 1..={MAX_SET_MLP}, got {value:?}"
                         ))
                     }
                 };
@@ -473,10 +482,17 @@ mod tests {
         assert_eq!(cfg.link_compression, 1.5);
         assert_eq!(cfg.clock_scale, 0.8);
         assert_eq!(cfg.mlp_per_warp, Some(8));
+        // Both bounds are inclusive and stated in the usage keys.
+        let cfg = apply_sets(&base, &sets(&[("gpms", "32"), ("mlp", "64")])).unwrap();
+        assert_eq!((cfg.gpms, cfg.mlp_per_warp), (32, Some(64)));
+        assert!(SET_KEYS.contains(&format!("gpms (1-{MAX_SET_GPMS})")));
+        assert!(SET_KEYS.contains(&format!("mlp (1-{MAX_SET_MLP})")));
 
         for bad in [
             ("gpms", "0"),
             ("gpms", "four"),
+            ("gpms", "33"),
+            ("gpms", "18446744073709551615"),
             ("bw", "8x"),
             ("topology", "torus"),
             ("link_energy_mult", "-1"),
@@ -484,6 +500,7 @@ mod tests {
             ("clock_scale", "1.5"),
             ("clock_scale", "0"),
             ("mlp", "0"),
+            ("mlp", "65"),
             ("frobnicate", "1"),
         ] {
             assert!(

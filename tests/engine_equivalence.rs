@@ -79,58 +79,6 @@ fn fast_forward_matches_naive_loop_on_real_workloads() {
 }
 
 #[test]
-fn parallel_engine_matches_event_driven_on_real_workloads() {
-    // The same repo-level guarantee for the sharded engine: real
-    // Table II workloads across the seeded configuration matrix, with
-    // results, transaction counts, the GPUJoule energy breakdown, and
-    // memory-system counters all bit-identical to the serial
-    // event-driven engine (the determinism contract of DESIGN.md §17).
-    for name in ["BPROP", "Stream", "BFS"] {
-        let w = by_name(name).unwrap_or_else(|| panic!("workload {name} missing"));
-        for (label, cfg) in config_matrix() {
-            let launches = w.launches(Scale::Smoke);
-            let mut event = GpuSim::with_mode(&cfg, EngineMode::EventDriven);
-            let mut par = GpuSim::with_mode(&cfg, EngineMode::Parallel);
-            par.set_sim_threads(Some(4));
-            let re = event.run_workload(&launches);
-            let rp = par.run_workload(&launches);
-
-            assert_eq!(rp, re, "{name} on {label}: workload results diverged");
-
-            let ce = re.total_counts();
-            let cp = rp.total_counts();
-            assert_eq!(
-                cp.txns, ce.txns,
-                "{name} on {label}: transaction counts diverged"
-            );
-            let model = EnergyModel::k40();
-            assert_eq!(
-                model.estimate(&cp),
-                model.estimate(&ce),
-                "{name} on {label}: energy breakdowns diverged"
-            );
-            assert_eq!(
-                par.memory().txns(),
-                event.memory().txns(),
-                "{name} on {label}: memory-system counters diverged"
-            );
-        }
-    }
-}
-
-#[test]
-fn shadow_par_mode_validates_a_full_workload_end_to_end() {
-    // ShadowPar runs the naive reference on cloned machine state per
-    // kernel and asserts bit-equality against the sharded engine
-    // internally.
-    let w = by_name("Stream").unwrap();
-    let mut sim = GpuSim::with_mode(&GpuConfig::tiny(4), EngineMode::ShadowPar);
-    sim.set_sim_threads(Some(4));
-    let result = sim.run_workload(&w.launches(Scale::Smoke));
-    assert!(result.total_cycles() > 0);
-}
-
-#[test]
 fn shadow_mode_validates_a_full_workload_end_to_end() {
     // Shadow mode runs both loops on cloned machine state per kernel and
     // asserts bit-equality internally; surviving a multi-kernel workload
