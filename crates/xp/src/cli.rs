@@ -63,33 +63,23 @@ enum Command {
     Top(TopOptions),
 }
 
-/// Options for `xp serve`.
+/// `--smoke`, `--threads N` and `--no-validation`: the sweep settings
+/// `run` and `serve` share.
 #[derive(Debug)]
-struct ServeOptions {
-    socket: Option<PathBuf>,
-    tcp: Option<String>,
-    store: PathBuf,
-    store_cap_mb: u64,
-    queue_cap: usize,
-    batch_max: usize,
-    batch_window_ms: u64,
+struct SweepFlags {
     scale: Scale,
     threads: usize,
     validation: bool,
+}
+
+/// Options for `xp serve`.
+#[derive(Debug)]
+struct ServeOptions {
+    server: xpd::server::ServerConfig,
+    sweep: SweepFlags,
     /// Record the whole serving session and write a Chrome trace here
     /// on shutdown (`xpd.*` counters feed `xp trace summary`).
     trace: Option<PathBuf>,
-    /// How hard the result store pushes writes toward disk.
-    durability: xpd::store::Durability,
-    /// Seeded deterministic fault injection across the daemon's I/O
-    /// boundaries (recovery testing only).
-    chaos_seed: Option<u64>,
-    /// Append requests slower than this to `<store>/slow.jsonl`.
-    slow_ms: Option<u64>,
-    /// Append one structured JSONL event per request here.
-    log: Option<PathBuf>,
-    /// Rotation cap for `--log`, in MiB (0 = the daemon default).
-    log_cap_mb: u64,
 }
 
 /// Options for `xp top`.
@@ -107,19 +97,15 @@ struct QueryOptions {
     endpoint: xpd::client::Endpoint,
     request: common::proto::QueryRequest,
     timeout: Option<Duration>,
-    /// Attempts beyond the first on busy/connect-refused/torn-response.
-    retries: u32,
-    /// Base of the jittered exponential backoff between attempts.
-    backoff: Duration,
+    /// Retries of busy/connect-refused/torn-response answers.
+    retry: xpd::client::RetryPolicy,
 }
 
 /// Options for `xp run`.
 #[derive(Debug)]
 struct RunOptions {
     ids: Vec<String>,
-    scale: Scale,
-    threads: usize,
-    validation: bool,
+    sweep: SweepFlags,
     format: Format,
     out: Option<PathBuf>,
     /// Skip journaled artifacts whose config digest still matches.
@@ -275,13 +261,13 @@ impl FaultSpec {
         for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
             let (key, value) = part
                 .split_once('=')
-                .ok_or_else(|| format!("--faults: expected key=value, got {part:?}"))?;
+                .ok_or_else(|| format!("expected key=value, got {part:?}"))?;
             let rate = |what: &str| -> Result<f64, String> {
                 let v: f64 = value
                     .parse()
-                    .map_err(|_| format!("--faults: {what} expects a number, got {value:?}"))?;
+                    .map_err(|_| format!("{what} expects a number, got {value:?}"))?;
                 if !(0.0..=1.0).contains(&v) {
-                    return Err(format!("--faults: {what} must be in [0, 1], got {value}"));
+                    return Err(format!("{what} must be in [0, 1], got {value}"));
                 }
                 Ok(v)
             };
@@ -289,19 +275,19 @@ impl FaultSpec {
                 "seed" => {
                     f.seed = value
                         .parse()
-                        .map_err(|_| format!("--faults: seed expects an integer, got {value:?}"))?
+                        .map_err(|_| format!("seed expects an integer, got {value:?}"))?
                 }
                 "panic" => f.panic = rate("panic")?,
                 "delay" => f.delay = rate("delay")?,
                 "delay-ms" => {
-                    f.delay_ms = value.parse().map_err(|_| {
-                        format!("--faults: delay-ms expects an integer, got {value:?}")
-                    })?
+                    f.delay_ms = value
+                        .parse()
+                        .map_err(|_| format!("delay-ms expects an integer, got {value:?}"))?
                 }
                 "poison" => f.poison = rate("poison")?,
                 "nan" => f.nan = rate("nan")?,
                 "dropout" => f.dropout = rate("dropout")?,
-                other => return Err(format!("--faults: unknown key {other:?}")),
+                other => return Err(format!("unknown key {other:?}")),
             }
         }
         Ok(f)
@@ -336,33 +322,137 @@ impl Drop for SensorFaultGuard {
     }
 }
 
-/// Strict `--threads` parsing: the historical lenient warn-and-default
-/// path hid typos like `--threads 08x` behind surprising autodetection.
-fn parse_threads(value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "xp run: --threads expects a positive integer, got {value:?} (e.g. --threads 4)"
+/// Bytes per MiB, the unit of the `serve` size-cap flags.
+const MIB: u64 = 1024 * 1024;
+
+/// The arguments after one subcommand. Takes flag values and formats
+/// every flag error the same way, as `xp <cmd>: <flag>: ...`.
+struct Flags<'a> {
+    cmd: &'a str,
+    args: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Flags<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.args.next().map(String::as_str)
+    }
+
+    fn invalid(&self, flag: &str, detail: impl std::fmt::Display) -> String {
+        format!("xp {}: {flag}: {detail}", self.cmd)
+    }
+
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.next()
+            .ok_or_else(|| self.invalid(flag, "missing value"))
+    }
+
+    fn path(&mut self, flag: &str) -> Result<PathBuf, String> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    /// The value of `flag` as an integer of at least `min`.
+    fn number<T>(&mut self, flag: &str, min: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    {
+        let value = self.value(flag)?;
+        self.check_number(flag, value, min)
+    }
+
+    fn check_number<T>(&self, flag: &str, value: &str, min: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    {
+        value.parse().ok().filter(|n| *n >= min).ok_or_else(|| {
+            self.invalid(flag, format!("expects an integer >= {min}, got {value:?}"))
+        })
+    }
+
+    /// The value of `flag` as a positive number of milliseconds.
+    fn millis(&mut self, flag: &str) -> Result<Duration, String> {
+        self.number(flag, 1).map(Duration::from_millis)
+    }
+
+    fn unknown<T>(&self, arg: &str) -> Result<T, String> {
+        Err(format!("xp {}: unknown option {arg}", self.cmd))
+    }
+
+    /// The next argument, which must exist.
+    fn positional(&mut self, what: &str) -> Result<&'a str, String> {
+        self.next()
+            .ok_or_else(|| format!("xp {}: missing {what}", self.cmd))
+    }
+
+    /// Rejects a leftover argument.
+    fn end(mut self) -> Result<(), String> {
+        match self.next() {
+            Some(arg) => Err(format!("xp {}: unexpected argument {arg:?}", self.cmd)),
+            None => Ok(()),
+        }
+    }
+}
+
+impl SweepFlags {
+    fn new() -> SweepFlags {
+        SweepFlags {
+            scale: Scale::Full,
+            threads: runtime::resolve_threads(None),
+            validation: true,
+        }
+    }
+
+    /// Applies `arg` if it is a sweep flag; `Ok(false)` leaves it to the
+    /// caller. `--threads` is strict: the historical warn-and-default
+    /// path hid typos like `--threads 08x` behind autodetection.
+    fn apply(&mut self, arg: &str, flags: &mut Flags) -> Result<bool, String> {
+        match arg {
+            "--smoke" => self.scale = Scale::Smoke,
+            "--no-validation" => self.validation = false,
+            "--threads" => self.threads = flags.number(arg, 1)?,
+            _ => match arg.strip_prefix("--threads=") {
+                Some(n) => self.threads = flags.check_number("--threads", n, 1)?,
+                None => return Ok(false),
+            },
+        }
+        Ok(true)
+    }
+}
+
+/// The daemon `query` and `top` talk to: exactly one of `--socket` and
+/// `--tcp`.
+fn endpoint(
+    cmd: &str,
+    socket: Option<PathBuf>,
+    tcp: Option<&str>,
+) -> Result<xpd::client::Endpoint, String> {
+    match (socket, tcp) {
+        (Some(path), None) => Ok(xpd::client::Endpoint::Unix(path)),
+        (None, Some(addr)) => Ok(xpd::client::Endpoint::Tcp(addr.to_string())),
+        (None, None) => Err(format!(
+            "xp {cmd}: no daemon endpoint (pass --socket PATH or --tcp ADDR)"
+        )),
+        (Some(_), Some(_)) => Err(format!(
+            "xp {cmd}: --socket and --tcp are mutually exclusive"
         )),
     }
 }
 
 fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().peekable();
-    let cmd = it.next().ok_or_else(|| USAGE.to_string())?;
+    let (cmd, rest) = args.split_first().ok_or_else(|| USAGE.to_string())?;
+    let mut flags = Flags {
+        cmd,
+        args: rest.iter(),
+    };
     match cmd.as_str() {
-        "list" => Ok(Command::List),
+        "list" => flags.end().map(|()| Command::List),
         "check" => {
-            let dir = it
-                .next()
-                .ok_or_else(|| "xp check: missing results directory".to_string())?;
-            Ok(Command::Check {
-                dir: PathBuf::from(dir),
-            })
+            let dir = PathBuf::from(flags.positional("results directory")?);
+            flags.end()?;
+            Ok(Command::Check { dir })
         }
         "trace" => {
-            match it.next().map(String::as_str) {
-                Some("summary") => {}
+            match flags.next() {
+                Some("summary") => flags.cmd = "trace summary",
                 Some(other) => {
                     return Err(format!(
                         "xp trace: unknown subcommand {other:?} (expected `summary`)"
@@ -370,361 +460,172 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 None => return Err("xp trace: missing subcommand `summary`".to_string()),
             }
-            let file = it
-                .next()
-                .ok_or_else(|| "xp trace summary: missing trace file".to_string())?;
-            Ok(Command::TraceSummary {
-                file: PathBuf::from(file),
-            })
+            let file = PathBuf::from(flags.positional("trace file")?);
+            flags.end()?;
+            Ok(Command::TraceSummary { file })
         }
         "bench" => {
             let mut opts = crate::bench::BenchOptions::default();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
+            while let Some(arg) = flags.next() {
+                match arg {
                     "--quick" => opts.quick = true,
-                    "--out" => {
-                        let file = it
-                            .next()
-                            .ok_or_else(|| "xp bench: --out: missing file".to_string())?;
-                        opts.out = Some(PathBuf::from(file));
-                    }
-                    "--baseline" => {
-                        let file = it
-                            .next()
-                            .ok_or_else(|| "xp bench: --baseline: missing file".to_string())?;
-                        opts.baseline = Some(PathBuf::from(file));
-                    }
-                    "--filter" => {
-                        let pat = it
-                            .next()
-                            .ok_or_else(|| "xp bench: --filter: missing substring".to_string())?;
-                        opts.filter = Some(pat.clone());
-                    }
+                    "--out" => opts.out = Some(flags.path(arg)?),
+                    "--baseline" => opts.baseline = Some(flags.path(arg)?),
+                    "--filter" => opts.filter = Some(flags.value(arg)?.to_string()),
                     "--baseline-update" => opts.baseline_update = true,
                     "--allow-regress" => opts.allow_regress = true,
-                    other => return Err(format!("xp bench: unknown option {other}\n\n{USAGE}")),
+                    other => return flags.unknown(other),
                 }
             }
             Ok(Command::Bench(opts))
         }
         "serve" => {
-            let mut opts = ServeOptions {
-                socket: None,
-                tcp: None,
-                store: PathBuf::from("xpd-store"),
-                store_cap_mb: 256,
-                queue_cap: 256,
-                batch_max: 8,
-                batch_window_ms: 20,
-                scale: Scale::Full,
-                threads: runtime::resolve_threads(None),
-                validation: true,
-                trace: None,
-                durability: xpd::store::Durability::default(),
-                chaos_seed: None,
-                slow_ms: None,
-                log: None,
-                log_cap_mb: 0,
-            };
-            let value = |it: &mut std::iter::Peekable<std::slice::Iter<String>>,
-                         flag: &str|
-             -> Result<String, String> {
-                it.next()
-                    .map(|s| s.to_string())
-                    .ok_or_else(|| format!("xp serve: {flag}: missing value"))
-            };
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--socket" => opts.socket = Some(PathBuf::from(value(&mut it, "--socket")?)),
-                    "--tcp" => opts.tcp = Some(value(&mut it, "--tcp")?),
-                    "--store" => opts.store = PathBuf::from(value(&mut it, "--store")?),
+            let mut server = xpd::server::ServerConfig::new("xpd-store");
+            let mut sweep = SweepFlags::new();
+            let mut trace = None;
+            while let Some(arg) = flags.next() {
+                if sweep.apply(arg, &mut flags)? {
+                    continue;
+                }
+                match arg {
+                    "--socket" => server.socket = Some(flags.path(arg)?),
+                    "--tcp" => server.tcp = Some(flags.value(arg)?.to_string()),
+                    "--store" => server.store_dir = flags.path(arg)?,
                     "--store-cap-mb" => {
-                        let v = value(&mut it, "--store-cap-mb")?;
-                        opts.store_cap_mb = v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                            format!("xp serve: --store-cap-mb expects a positive integer, got {v:?}")
-                        })?;
+                        server.store_cap_bytes = flags.number::<u64>(arg, 1)?.saturating_mul(MIB)
                     }
-                    "--queue-cap" => {
-                        let v = value(&mut it, "--queue-cap")?;
-                        opts.queue_cap = v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                            format!("xp serve: --queue-cap expects a positive integer, got {v:?}")
-                        })?;
-                    }
-                    "--batch-max" => {
-                        let v = value(&mut it, "--batch-max")?;
-                        opts.batch_max = v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                            format!("xp serve: --batch-max expects a positive integer, got {v:?}")
-                        })?;
-                    }
+                    "--queue-cap" => server.queue_cap = flags.number(arg, 1)?,
+                    "--batch-max" => server.batch_max = flags.number(arg, 1)?,
                     "--batch-window-ms" => {
-                        let v = value(&mut it, "--batch-window-ms")?;
-                        opts.batch_window_ms = v.parse().map_err(|_| {
-                            format!("xp serve: --batch-window-ms expects milliseconds, got {v:?}")
-                        })?;
+                        server.batch_window = Duration::from_millis(flags.number(arg, 0)?)
                     }
-                    "--smoke" => opts.scale = Scale::Smoke,
-                    "--no-validation" => opts.validation = false,
-                    "--trace" => opts.trace = Some(PathBuf::from(value(&mut it, "--trace")?)),
+                    "--trace" => trace = Some(flags.path(arg)?),
                     "--durability" => {
-                        let v = value(&mut it, "--durability")?;
-                        opts.durability = xpd::store::Durability::parse(&v)
-                            .map_err(|e| format!("xp serve: --durability: {e}"))?;
+                        let v = flags.value(arg)?;
+                        server.durability =
+                            xpd::store::Durability::parse(v).map_err(|e| flags.invalid(arg, e))?;
                     }
-                    "--chaos-seed" => {
-                        let v = value(&mut it, "--chaos-seed")?;
-                        opts.chaos_seed = Some(v.parse().map_err(|_| {
-                            format!("xp serve: --chaos-seed expects an integer seed, got {v:?}")
-                        })?);
-                    }
-                    "--slow-ms" => {
-                        let v = value(&mut it, "--slow-ms")?;
-                        opts.slow_ms =
-                            Some(v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                                format!(
-                                    "xp serve: --slow-ms expects positive milliseconds, got {v:?}"
-                                )
-                            })?);
-                    }
-                    "--log" => opts.log = Some(PathBuf::from(value(&mut it, "--log")?)),
+                    "--chaos-seed" => server.chaos_seed = Some(flags.number(arg, 0)?),
+                    "--slow-ms" => server.slow_ms = Some(flags.number(arg, 1)?),
+                    "--log" => server.log_file = Some(flags.path(arg)?),
                     "--log-cap-mb" => {
-                        let v = value(&mut it, "--log-cap-mb")?;
-                        opts.log_cap_mb = v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                            format!("xp serve: --log-cap-mb expects a positive integer, got {v:?}")
-                        })?;
+                        server.log_cap_bytes = flags.number::<u64>(arg, 1)?.saturating_mul(MIB)
                     }
-                    "--threads" => {
-                        let v = value(&mut it, "--threads")?;
-                        opts.threads = parse_threads(&v)?;
-                    }
-                    other if other.starts_with("--threads=") => {
-                        opts.threads = parse_threads(&other["--threads=".len()..])?;
-                    }
-                    other => return Err(format!("xp serve: unknown option {other}")),
+                    other => return flags.unknown(other),
                 }
             }
-            if opts.socket.is_none() && opts.tcp.is_none() {
+            if server.socket.is_none() && server.tcp.is_none() {
                 return Err(
                     "xp serve: no endpoint (pass --socket PATH and/or --tcp ADDR)".to_string(),
                 );
             }
-            Ok(Command::Serve(opts))
+            Ok(Command::Serve(ServeOptions {
+                server,
+                sweep,
+                trace,
+            }))
         }
         "query" => {
-            let mut socket: Option<PathBuf> = None;
-            let mut tcp: Option<String> = None;
-            let mut artifact: Option<String> = None;
-            let mut sets: Vec<(String, String)> = Vec::new();
-            let mut stats = false;
-            let mut health = false;
-            let mut shutdown = false;
-            let mut metrics = false;
-            let mut prometheus = false;
-            let mut timing = false;
+            use common::proto::{MetricsFormat, QueryRequest, RequestOp};
+            const EXCLUSIVE: &str = "xp query: --stats, --health, --metrics, --shutdown, and an \
+                                     artifact id are mutually exclusive";
+            let (mut socket, mut tcp) = (None, None);
+            let mut artifact: Option<&str> = None;
+            // An artifact query until a daemon-op flag switches `op`.
+            let mut request = QueryRequest::query("");
             let mut timeout = None;
-            let mut deadline_ms: Option<u64> = None;
-            let mut retries: u32 = 0;
-            let mut backoff = Duration::from_millis(100);
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--socket" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp query: --socket: missing path".to_string())?;
-                        socket = Some(PathBuf::from(v));
-                    }
-                    "--tcp" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp query: --tcp: missing address".to_string())?;
-                        tcp = Some(v.clone());
-                    }
+            let mut retry = xpd::client::RetryPolicy {
+                retries: 0,
+                backoff: Duration::from_millis(100),
+                jitter_seed: u64::from(std::process::id()),
+            };
+            while let Some(arg) = flags.next() {
+                match arg {
+                    "--socket" => socket = Some(flags.path(arg)?),
+                    "--tcp" => tcp = Some(flags.value(arg)?),
                     "--set" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp query: --set: missing KEY=VALUE".to_string())?;
-                        let (k, val) = v.split_once('=').ok_or_else(|| {
-                            format!(
-                                "xp query: --set expects KEY=VALUE, got {v:?} (keys: {SET_KEYS})"
+                        let v = flags.value(arg)?;
+                        let (key, value) = v.split_once('=').ok_or_else(|| {
+                            flags.invalid(
+                                arg,
+                                format!("expects KEY=VALUE, got {v:?} (keys: {SET_KEYS})"),
                             )
                         })?;
-                        if sets.iter().any(|(prev, _)| prev == k) {
-                            return Err(format!("xp query: duplicate --set key {k:?}"));
+                        if request.sets.iter().any(|(prev, _)| prev == key) {
+                            return Err(format!("xp query: duplicate --set key {key:?}"));
                         }
-                        sets.push((k.to_string(), val.to_string()));
+                        request.sets.push((key.to_string(), value.to_string()));
                     }
-                    "--stats" => stats = true,
-                    "--health" => health = true,
-                    "--shutdown" => shutdown = true,
-                    "--metrics" => metrics = true,
-                    "--prometheus" => {
-                        metrics = true;
-                        prometheus = true;
+                    "--stats" | "--health" | "--shutdown" | "--metrics" | "--prometheus" => {
+                        let op = match arg {
+                            "--stats" => RequestOp::Stats,
+                            "--health" => RequestOp::Health,
+                            "--shutdown" => RequestOp::Shutdown,
+                            _ => RequestOp::Metrics,
+                        };
+                        if ![RequestOp::Query, op].contains(&request.op) {
+                            return Err(EXCLUSIVE.to_string());
+                        }
+                        request.op = op;
+                        if arg == "--prometheus" {
+                            request.format = MetricsFormat::Prometheus;
+                        }
                     }
-                    "--timing" => timing = true,
-                    "--timeout-ms" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp query: --timeout-ms: missing value".to_string())?;
-                        let ms: u64 = v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                            format!(
-                                "xp query: --timeout-ms expects positive milliseconds, got {v:?}"
-                            )
-                        })?;
-                        timeout = Some(Duration::from_millis(ms));
-                    }
-                    "--deadline-ms" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp query: --deadline-ms: missing value".to_string())?;
-                        let ms: u64 = v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                            format!(
-                                "xp query: --deadline-ms expects positive milliseconds, got {v:?}"
-                            )
-                        })?;
-                        deadline_ms = Some(ms);
-                    }
-                    "--retries" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp query: --retries: missing value".to_string())?;
-                        retries = v.parse().map_err(|_| {
-                            format!("xp query: --retries expects a non-negative integer, got {v:?}")
-                        })?;
-                    }
-                    "--backoff-ms" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp query: --backoff-ms: missing value".to_string())?;
-                        let ms: u64 = v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                            format!(
-                                "xp query: --backoff-ms expects positive milliseconds, got {v:?}"
-                            )
-                        })?;
-                        backoff = Duration::from_millis(ms);
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(format!("xp query: unknown option {other}"));
-                    }
+                    "--timing" => request.timing = true,
+                    "--timeout-ms" => timeout = Some(flags.millis(arg)?),
+                    "--deadline-ms" => request.deadline_ms = Some(flags.number(arg, 1)?),
+                    "--retries" => retry.retries = flags.number(arg, 0)?,
+                    "--backoff-ms" => retry.backoff = flags.millis(arg)?,
+                    other if other.starts_with("--") => return flags.unknown(other),
                     id => {
-                        if artifact.replace(id.to_string()).is_some() {
+                        if artifact.replace(id).is_some() {
                             return Err("xp query: more than one artifact id given".to_string());
                         }
                     }
                 }
             }
-            let endpoint = match (socket, tcp) {
-                (Some(path), None) => xpd::client::Endpoint::Unix(path),
-                (None, Some(addr)) => xpd::client::Endpoint::Tcp(addr),
-                (None, None) => {
-                    return Err(
-                        "xp query: no daemon endpoint (pass --socket PATH or --tcp ADDR)"
-                            .to_string(),
-                    )
+            let endpoint = endpoint("query", socket, tcp)?;
+            match (artifact, request.op) {
+                (Some(id), RequestOp::Query) => request.artifact = id.to_string(),
+                (Some(_), _) => return Err(EXCLUSIVE.to_string()),
+                (None, RequestOp::Query) => {
+                    return Err("xp query: no artifact id (or pass --stats / --health / \
+                                --metrics / --shutdown)"
+                        .to_string())
                 }
-                (Some(_), Some(_)) => {
-                    return Err("xp query: --socket and --tcp are mutually exclusive".to_string())
-                }
-            };
-            if (stats || health || shutdown || metrics) && !sets.is_empty() {
-                return Err("xp query: --set only applies to artifact queries".to_string());
-            }
-            if (stats || health || shutdown || metrics) && deadline_ms.is_some() {
-                return Err("xp query: --deadline-ms only applies to artifact queries".to_string());
-            }
-            if (stats || health || shutdown || metrics) && timing {
-                return Err("xp query: --timing only applies to artifact queries".to_string());
-            }
-            let request = match (stats, health, shutdown, metrics, artifact) {
-                (true, false, false, false, None) => common::proto::QueryRequest::stats(),
-                (false, true, false, false, None) => common::proto::QueryRequest::health(),
-                (false, false, true, false, None) => common::proto::QueryRequest::shutdown(),
-                (false, false, false, true, None) => {
-                    common::proto::QueryRequest::metrics(if prometheus {
-                        common::proto::MetricsFormat::Prometheus
-                    } else {
-                        common::proto::MetricsFormat::Json
-                    })
-                }
-                (false, false, false, false, Some(id)) => {
-                    let mut request = common::proto::QueryRequest::query(id);
-                    request.sets = sets;
-                    if let Some(ms) = deadline_ms {
-                        request = request.with_deadline_ms(ms);
+                (None, _) => {
+                    let artifact_only = [
+                        (!request.sets.is_empty(), "--set"),
+                        (request.deadline_ms.is_some(), "--deadline-ms"),
+                        (request.timing, "--timing"),
+                    ];
+                    if let Some((_, flag)) = artifact_only.iter().find(|(given, _)| *given) {
+                        return Err(format!("xp query: {flag} only applies to artifact queries"));
                     }
-                    if timing {
-                        request = request.with_timing();
-                    }
-                    request
                 }
-                (false, false, false, false, None) => {
-                    return Err(
-                        "xp query: no artifact id (or pass --stats / --health / --metrics / \
-                         --shutdown)"
-                            .to_string(),
-                    )
-                }
-                _ => return Err(
-                    "xp query: --stats, --health, --metrics, --shutdown, and an artifact id are \
-                     mutually exclusive"
-                        .to_string(),
-                ),
-            };
+            }
             Ok(Command::Query(QueryOptions {
                 endpoint,
                 request,
                 timeout,
-                retries,
-                backoff,
+                retry,
             }))
         }
         "top" => {
-            let mut socket: Option<PathBuf> = None;
-            let mut tcp: Option<String> = None;
+            let (mut socket, mut tcp) = (None, None);
             let mut interval = Duration::from_millis(2000);
             let mut once = false;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--socket" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp top: --socket: missing path".to_string())?;
-                        socket = Some(PathBuf::from(v));
-                    }
-                    "--tcp" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp top: --tcp: missing address".to_string())?;
-                        tcp = Some(v.clone());
-                    }
-                    "--interval-ms" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp top: --interval-ms: missing value".to_string())?;
-                        let ms: u64 = v.parse().ok().filter(|n| *n >= 1).ok_or_else(|| {
-                            format!(
-                                "xp top: --interval-ms expects positive milliseconds, got {v:?}"
-                            )
-                        })?;
-                        interval = Duration::from_millis(ms);
-                    }
+            while let Some(arg) = flags.next() {
+                match arg {
+                    "--socket" => socket = Some(flags.path(arg)?),
+                    "--tcp" => tcp = Some(flags.value(arg)?),
+                    "--interval-ms" => interval = flags.millis(arg)?,
                     "--once" => once = true,
-                    other => return Err(format!("xp top: unknown option {other}")),
+                    other => return flags.unknown(other),
                 }
             }
-            let endpoint = match (socket, tcp) {
-                (Some(path), None) => xpd::client::Endpoint::Unix(path),
-                (None, Some(addr)) => xpd::client::Endpoint::Tcp(addr),
-                (None, None) => {
-                    return Err(
-                        "xp top: no daemon endpoint (pass --socket PATH or --tcp ADDR)".to_string(),
-                    )
-                }
-                (Some(_), Some(_)) => {
-                    return Err("xp top: --socket and --tcp are mutually exclusive".to_string())
-                }
-            };
             Ok(Command::Top(TopOptions {
-                endpoint,
+                endpoint: endpoint("top", socket, tcp)?,
                 interval,
                 once,
             }))
@@ -732,9 +633,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
         "run" => {
             let mut opts = RunOptions {
                 ids: Vec::new(),
-                scale: Scale::Full,
-                threads: runtime::resolve_threads(None),
-                validation: true,
+                sweep: SweepFlags::new(),
                 format: Format::Text,
                 out: None,
                 resume: false,
@@ -745,85 +644,39 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 metrics_out: None,
             };
             let mut explicit_out = false;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--smoke" => opts.scale = Scale::Smoke,
-                    "--no-validation" => opts.validation = false,
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp run: --threads: missing value".to_string())?;
-                        opts.threads = parse_threads(v)?;
-                    }
+            while let Some(arg) = flags.next() {
+                if opts.sweep.apply(arg, &mut flags)? {
+                    continue;
+                }
+                match arg {
                     "--format" => {
-                        let f = it
-                            .next()
-                            .ok_or_else(|| "--format: missing value".to_string())?;
-                        opts.format = match f.as_str() {
+                        opts.format = match flags.value(arg)? {
                             "text" => Format::Text,
                             "json" => Format::Json,
                             "both" => Format::Both,
-                            other => return Err(format!("--format: unknown format {other:?}")),
-                        };
+                            other => {
+                                return Err(flags.invalid(arg, format!("unknown format {other:?}")))
+                            }
+                        }
                     }
                     "--out" => {
-                        let dir = it
-                            .next()
-                            .ok_or_else(|| "--out: missing directory".to_string())?;
-                        opts.out = Some(PathBuf::from(dir));
+                        opts.out = Some(flags.path(arg)?);
                         explicit_out = true;
                     }
                     "--resume" => {
-                        let dir = it
-                            .next()
-                            .ok_or_else(|| "--resume: missing directory".to_string())?;
-                        opts.out = Some(PathBuf::from(dir));
+                        opts.out = Some(flags.path(arg)?);
                         opts.resume = true;
                     }
-                    "--retries" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "xp run: --retries: missing value".to_string())?;
-                        opts.retries = v.parse().map_err(|_| {
-                            format!("xp run: --retries expects a non-negative integer, got {v:?}")
-                        })?;
-                    }
-                    "--point-timeout-ms" => {
-                        let v = it.next().ok_or_else(|| {
-                            "xp run: --point-timeout-ms: missing value".to_string()
-                        })?;
-                        let ms: u64 = v.parse().map_err(|_| {
-                            format!("xp run: --point-timeout-ms expects milliseconds, got {v:?}")
-                        })?;
-                        if ms == 0 {
-                            return Err("xp run: --point-timeout-ms must be positive".to_string());
-                        }
-                        opts.point_timeout = Some(Duration::from_millis(ms));
-                    }
+                    "--retries" => opts.retries = flags.number(arg, 0)?,
+                    "--point-timeout-ms" => opts.point_timeout = Some(flags.millis(arg)?),
                     "--faults" => {
-                        let spec = it
-                            .next()
-                            .ok_or_else(|| "xp run: --faults: missing specification".to_string())?;
-                        opts.faults = Some(FaultSpec::parse(spec)?);
+                        let spec = flags.value(arg)?;
+                        opts.faults =
+                            Some(FaultSpec::parse(spec).map_err(|e| flags.invalid(arg, e))?);
                     }
-                    "--trace" => {
-                        let file = it
-                            .next()
-                            .ok_or_else(|| "xp run: --trace: missing output file".to_string())?;
-                        opts.trace = Some(PathBuf::from(file));
-                    }
-                    "--metrics-out" => {
-                        let file = it.next().ok_or_else(|| {
-                            "xp run: --metrics-out: missing output file".to_string()
-                        })?;
-                        opts.metrics_out = Some(PathBuf::from(file));
-                    }
-                    other if other.starts_with("--threads=") => {
-                        opts.threads = parse_threads(&other["--threads=".len()..])?;
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(format!("xp run: unknown option {other}"));
-                    }
+                    "--trace" => opts.trace = Some(flags.path(arg)?),
+                    "--metrics-out" => opts.metrics_out = Some(flags.path(arg)?),
+                    other if other.starts_with("--") => return flags.unknown(other),
                     id => opts.ids.push(id.to_string()),
                 }
             }
@@ -934,26 +787,14 @@ fn serve(opts: &ServeOptions) -> i32 {
         .trace
         .is_some()
         .then(|| trace::session(trace::TraceConfig::default()));
+    let sweep = &opts.sweep;
     let engine = std::sync::Arc::new(RegistryEngine::new(
-        opts.scale,
-        opts.threads,
-        opts.validation,
+        sweep.scale,
+        sweep.threads,
+        sweep.validation,
     ));
-    let config = xpd::server::ServerConfig {
-        socket: opts.socket.clone(),
-        tcp: opts.tcp.clone(),
-        store_dir: opts.store.clone(),
-        store_cap_bytes: opts.store_cap_mb.saturating_mul(1024 * 1024),
-        queue_cap: opts.queue_cap,
-        batch_max: opts.batch_max,
-        batch_window: Duration::from_millis(opts.batch_window_ms),
-        durability: opts.durability,
-        chaos_seed: opts.chaos_seed,
-        slow_ms: opts.slow_ms,
-        log_file: opts.log.clone(),
-        log_cap_bytes: opts.log_cap_mb.saturating_mul(1024 * 1024),
-    };
-    let server = match xpd::server::Server::bind(config, engine) {
+    let config = &opts.server;
+    let server = match xpd::server::Server::bind(config.clone(), engine) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("xp serve: {e}");
@@ -966,7 +807,7 @@ fn serve(opts: &ServeOptions) -> i32 {
     // exists for — CI exercises both.) SIGQUIT dumps the flight
     // recorder and keeps serving.
     install_shutdown_signals(server.stop_handle(), server.flight_recorder());
-    if let Some(path) = &opts.socket {
+    if let Some(path) = &config.socket {
         eprintln!("xp serve: listening on {}", path.display());
     }
     if let Some(addr) = server.tcp_addr() {
@@ -974,11 +815,11 @@ fn serve(opts: &ServeOptions) -> i32 {
     }
     eprintln!(
         "xp serve: store {} (cap {} MiB, durability {}), scale {:?}, {} thread(s)",
-        opts.store.display(),
-        opts.store_cap_mb,
-        opts.durability,
-        opts.scale,
-        opts.threads
+        config.store_dir.display(),
+        config.store_cap_bytes / MIB,
+        config.durability,
+        sweep.scale,
+        sweep.threads
     );
     let code = match server.run() {
         Ok(()) => {
@@ -1088,20 +929,18 @@ fn install_shutdown_signals(
 /// the file `xp run --out` writes); digests, sources, and stats
 /// commentary go to stderr.
 fn query(opts: &QueryOptions) -> i32 {
-    let policy = xpd::client::RetryPolicy {
-        retries: opts.retries,
-        backoff: opts.backoff,
-        jitter_seed: u64::from(std::process::id()),
-    };
     let outcome =
-        xpd::client::request_with_retries(&opts.endpoint, &opts.request, opts.timeout, &policy);
+        xpd::client::request_with_retries(&opts.endpoint, &opts.request, opts.timeout, &opts.retry);
     let response = match outcome {
         Ok(r) => r,
         Err(e) => {
             // Typed classification, not string matching: a retryable
             // failure that survived every attempt still names itself.
-            if e.is_retryable() && opts.retries > 0 {
-                eprintln!("xp query: giving up after {} retries: {e}", opts.retries);
+            if e.is_retryable() && opts.retry.retries > 0 {
+                eprintln!(
+                    "xp query: giving up after {} retries: {e}",
+                    opts.retry.retries
+                );
             } else {
                 eprintln!("xp query: {e}");
             }
@@ -1445,7 +1284,7 @@ fn xpd_counters_block(counters: &[(String, u64)]) -> Option<String> {
 
 fn run(opts: &RunOptions) -> i32 {
     let registry = ArtifactRegistry::standard(&RegistryOptions {
-        validation: opts.validation,
+        validation: opts.sweep.validation,
     });
 
     // Resolve ids; `all` expands to every non-composite artifact.
@@ -1498,8 +1337,8 @@ fn run(opts: &RunOptions) -> i32 {
     for id in &ids {
         let art_digest = artifact_digest(
             &registry.get(id).unwrap().plan(),
-            opts.scale,
-            opts.validation,
+            opts.sweep.scale,
+            opts.sweep.validation,
         );
         let keep = opts.resume
             && prior.iter().any(|(k, rec)| {
@@ -1533,7 +1372,7 @@ fn run(opts: &RunOptions) -> i32 {
     let trace_session = (opts.trace.is_some() || opts.metrics_out.is_some())
         .then(|| trace::session(trace::TraceConfig::default()));
 
-    let mut lab = Lab::with_threads(opts.scale, opts.threads);
+    let mut lab = Lab::with_threads(opts.sweep.scale, opts.sweep.threads);
     let mut policy = RetryPolicy::retries(opts.retries);
     if let Some(deadline) = opts.point_timeout {
         policy = policy.with_deadline(deadline);
@@ -1708,9 +1547,9 @@ fn run(opts: &RunOptions) -> i32 {
     if let Some(dir) = &opts.out {
         let mut manifest = Json::object();
         manifest.insert("schema_version", 1usize);
-        manifest.insert("scale", format!("{:?}", opts.scale).as_str());
+        manifest.insert("scale", format!("{:?}", opts.sweep.scale).as_str());
         manifest.insert("threads", lab.threads());
-        manifest.insert("validation", opts.validation);
+        manifest.insert("validation", opts.sweep.validation);
         manifest.insert("config_digest", digest.as_str());
         manifest.insert("planned_configs", configs.len());
         let mut suite_names = Json::array();
@@ -1880,6 +1719,15 @@ mod tests {
         assert!(parse(&argv(&["run"])).is_err());
         assert!(parse(&argv(&["run", "--format", "yaml", "fig2"])).is_err());
         assert!(parse(&argv(&["check"])).is_err());
+        // Leftover arguments are usage errors, not silently ignored.
+        assert_eq!(
+            parse(&argv(&["list", "X"])).unwrap_err(),
+            "xp list: unexpected argument \"X\""
+        );
+        assert_eq!(
+            parse(&argv(&["check", "results", "X"])).unwrap_err(),
+            "xp check: unexpected argument \"X\""
+        );
     }
 
     #[test]
@@ -1909,9 +1757,9 @@ mod tests {
             panic!("expected a run command");
         };
         assert_eq!(opts.ids, vec!["all"]);
-        assert_eq!(opts.scale, Scale::Smoke);
-        assert_eq!(opts.threads, 2);
-        assert!(!opts.validation);
+        assert_eq!(opts.sweep.scale, Scale::Smoke);
+        assert_eq!(opts.sweep.threads, 2);
+        assert!(!opts.sweep.validation);
         assert_eq!(opts.format, Format::Both);
         assert_eq!(opts.out.as_deref(), Some(Path::new("results")));
         assert!(!opts.resume);
@@ -1936,6 +1784,10 @@ mod tests {
         assert!(parse(&argv(&["trace"])).is_err());
         assert!(parse(&argv(&["trace", "summary"])).is_err());
         assert!(parse(&argv(&["trace", "frobnicate", "t.json"])).is_err());
+        assert_eq!(
+            parse(&argv(&["trace", "summary", "t.json", "X"])).unwrap_err(),
+            "xp trace summary: unexpected argument \"X\""
+        );
         // Flags stay run-only.
         assert!(parse(&argv(&["run", "fig2", "--trace"])).is_err());
         assert!(parse(&argv(&["run", "fig2", "--metrics-out"])).is_err());
@@ -1950,7 +1802,7 @@ mod tests {
         let Ok(Command::Run(opts)) = parse(&argv(&["run", "fig2", "--threads=3"])) else {
             panic!("expected a run command");
         };
-        assert_eq!(opts.threads, 3);
+        assert_eq!(opts.sweep.threads, 3);
     }
 
     #[test]
@@ -2075,20 +1927,21 @@ mod tests {
         ])) else {
             panic!("expected a serve command");
         };
-        assert_eq!(opts.tcp.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(opts.socket.as_deref(), Some(Path::new("/tmp/xpd.sock")));
-        assert_eq!(opts.store, Path::new("store-dir"));
-        assert_eq!(opts.store_cap_mb, 64);
-        assert_eq!(opts.queue_cap, 4);
-        assert_eq!(opts.batch_max, 2);
-        assert_eq!(opts.batch_window_ms, 5);
-        assert_eq!(opts.scale, Scale::Smoke);
-        assert_eq!(opts.threads, 2);
-        assert!(!opts.validation);
+        let server = &opts.server;
+        assert_eq!(server.tcp.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(server.socket.as_deref(), Some(Path::new("/tmp/xpd.sock")));
+        assert_eq!(server.store_dir, Path::new("store-dir"));
+        assert_eq!(server.store_cap_bytes, 64 * MIB);
+        assert_eq!(server.queue_cap, 4);
+        assert_eq!(server.batch_max, 2);
+        assert_eq!(server.batch_window, Duration::from_millis(5));
+        assert_eq!(opts.sweep.scale, Scale::Smoke);
+        assert_eq!(opts.sweep.threads, 2);
+        assert!(!opts.sweep.validation);
         assert_eq!(opts.trace.as_deref(), Some(Path::new("serve.trace.json")));
-        assert_eq!(opts.slow_ms, Some(250));
-        assert_eq!(opts.log.as_deref(), Some(Path::new("events.jsonl")));
-        assert_eq!(opts.log_cap_mb, 8);
+        assert_eq!(server.slow_ms, Some(250));
+        assert_eq!(server.log_file.as_deref(), Some(Path::new("events.jsonl")));
+        assert_eq!(server.log_cap_bytes, 8 * MIB);
 
         // An endpoint is required; bad numbers are rejected.
         assert!(parse(&argv(&["serve"])).is_err());
@@ -2102,9 +1955,9 @@ mod tests {
         let Ok(Command::Serve(opts)) = parse(&argv(&["serve", "--tcp", "127.0.0.1:0"])) else {
             panic!("expected a serve command");
         };
-        assert_eq!(opts.slow_ms, None);
-        assert!(opts.log.is_none());
-        assert_eq!(opts.log_cap_mb, 0);
+        assert_eq!(opts.server.slow_ms, None);
+        assert!(opts.server.log_file.is_none());
+        assert_eq!(opts.server.log_cap_bytes, 0);
     }
 
     #[test]
@@ -2258,7 +2111,83 @@ mod tests {
     }
 
     #[test]
+    fn flag_errors_name_their_command_and_flag() {
+        // Every value-taking flag (plus the `--threads=N` spelling), the
+        // arguments before it, and values it rejects; "" leaves the value
+        // out.
+        const POSITIVE: &[&str] = &["", "0", "abc"];
+        const COUNT: &[&str] = &["", "abc", "-1"];
+        const ANY: &[&str] = &[""];
+        let run: &[&str] = &["run", "fig2"];
+        let query: &[&str] = &["query", "fig6"];
+        let cases: &[(&[&str], &str, &[&str])] = &[
+            (run, "--threads", POSITIVE),
+            (run, "--threads=0", ANY),
+            (run, "--format", &["", "yaml"]),
+            (run, "--out", ANY),
+            (run, "--resume", ANY),
+            (run, "--retries", COUNT),
+            (run, "--point-timeout-ms", POSITIVE),
+            (run, "--faults", &["", "panic=2"]),
+            (run, "--trace", ANY),
+            (run, "--metrics-out", ANY),
+            (&["serve"], "--threads", POSITIVE),
+            (&["serve"], "--threads=abc", ANY),
+            (&["serve"], "--socket", ANY),
+            (&["serve"], "--tcp", ANY),
+            (&["serve"], "--store", ANY),
+            (&["serve"], "--store-cap-mb", POSITIVE),
+            (&["serve"], "--queue-cap", POSITIVE),
+            (&["serve"], "--batch-max", POSITIVE),
+            (&["serve"], "--batch-window-ms", COUNT),
+            (&["serve"], "--trace", ANY),
+            (&["serve"], "--durability", &["", "sometimes"]),
+            (&["serve"], "--chaos-seed", COUNT),
+            (&["serve"], "--slow-ms", POSITIVE),
+            (&["serve"], "--log", ANY),
+            (&["serve"], "--log-cap-mb", POSITIVE),
+            (query, "--socket", ANY),
+            (query, "--tcp", ANY),
+            (query, "--set", &["", "bw2x"]),
+            (query, "--timeout-ms", POSITIVE),
+            (query, "--deadline-ms", POSITIVE),
+            (query, "--retries", COUNT),
+            (query, "--backoff-ms", POSITIVE),
+            (&["top"], "--socket", ANY),
+            (&["top"], "--tcp", ANY),
+            (&["top"], "--interval-ms", POSITIVE),
+            (&["bench"], "--out", ANY),
+            (&["bench"], "--baseline", ANY),
+            (&["bench"], "--filter", ANY),
+        ];
+        for (before, flag, bad) in cases {
+            let name = flag.split('=').next().unwrap();
+            let want = format!("xp {}: {name}:", before[0]);
+            for value in *bad {
+                let mut args = argv(before);
+                args.push(flag.to_string());
+                if !value.is_empty() {
+                    args.push(value.to_string());
+                }
+                let msg = parse(&args).unwrap_err();
+                assert!(msg.starts_with(&want), "{args:?}: {msg}");
+            }
+        }
+        for before in [run, &["serve"], query, &["top"], &["bench"]] {
+            let mut args = argv(before);
+            args.push("--frobnicate".to_string());
+            let want = format!("xp {}: unknown option --frobnicate", before[0]);
+            assert_eq!(parse(&args).unwrap_err(), want);
+        }
+    }
+
+    #[test]
     fn unknown_artifact_id_is_a_usage_error() {
         assert_eq!(main(&argv(&["run", "no_such_artifact", "--smoke"])), 2);
+    }
+
+    #[test]
+    fn leftover_argument_is_a_usage_error() {
+        assert_eq!(main(&argv(&["check", "results", "extra"])), 2);
     }
 }

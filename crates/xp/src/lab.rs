@@ -98,8 +98,8 @@ fn simulate(scale: Scale, workload: &WorkloadSpec, config: &ExpConfig) -> Arc<Ev
 ///
 /// [`Lab::new`] is serial (one thread, no pool) — the exact semantics the
 /// lab had before the runtime port, which unit tests and benches rely on.
-/// Binaries construct a parallel lab through [`crate::lab_from_args`],
-/// which honors `--threads N` and `MMGPU_THREADS`.
+/// The `xp` CLI builds a parallel lab from `--threads N`, or else
+/// `MMGPU_THREADS`, or else the machine's available parallelism.
 pub struct Lab {
     scale: Scale,
     cache: Arc<ShardedCache<SimKey, Arc<EventCounts>>>,

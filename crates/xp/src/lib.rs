@@ -34,40 +34,3 @@ pub use lab::{Lab, RunPoint};
 pub use query::{apply_sets, artifact_digest, config_digest, query_digest, RegistryEngine};
 pub use registry::{ArtifactRegistry, RegistryOptions};
 pub use report::{evaluate_scaling_claims, evaluate_validation_claims, render_claims, Claim};
-
-/// Parses the common `--smoke` flag used by the experiment binaries.
-pub fn scale_from_args() -> workloads::Scale {
-    if std::env::args().any(|a| a == "--smoke") {
-        workloads::Scale::Smoke
-    } else {
-        workloads::Scale::Full
-    }
-}
-
-/// Resolves the sweep worker-thread count for the experiment binaries:
-/// `--threads N` (or `--threads=N`) beats the `MMGPU_THREADS` environment
-/// variable, which beats the machine's available parallelism.
-pub fn threads_from_args() -> usize {
-    let mut args = std::env::args();
-    let mut requested = None;
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            requested = args.next().and_then(|v| v.parse().ok());
-            if requested.is_none() {
-                eprintln!("warning: --threads expects a positive integer");
-            }
-        } else if let Some(v) = arg.strip_prefix("--threads=") {
-            requested = v.parse().ok();
-            if requested.is_none() {
-                eprintln!("warning: --threads expects a positive integer, got {v:?}");
-            }
-        }
-    }
-    runtime::resolve_threads(requested)
-}
-
-/// A [`Lab`] configured from the common CLI flags: `--smoke` for the
-/// problem scale, `--threads N` / `MMGPU_THREADS` for sweep parallelism.
-pub fn lab_from_args() -> Lab {
-    Lab::with_threads(scale_from_args(), threads_from_args())
-}
