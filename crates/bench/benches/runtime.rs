@@ -14,7 +14,7 @@
 //!   the pool's, not the CPU's.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use runtime::{ShardedCache, SweepExecutor};
+use runtime::{Cache, SweepExecutor};
 use std::sync::Arc;
 use std::time::Duration;
 use workloads::Scale;
@@ -28,7 +28,7 @@ fn fig6_sweep(threads: usize) -> Fig6 {
 /// 24 points of 5 ms each: 120 ms serial, ~120/threads ms parallel.
 fn overlap_sweep(threads: usize) -> usize {
     let executor = SweepExecutor::new(threads);
-    let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::for_threads(threads));
+    let cache: Arc<Cache<u64, u64>> = Arc::new(Cache::new());
     let items: Vec<(u64, u64)> = (0..24).map(|i| (i, i)).collect();
     let report = executor.run_keyed(&cache, items, |&k, _| {
         std::thread::sleep(Duration::from_millis(5));

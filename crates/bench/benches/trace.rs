@@ -23,7 +23,7 @@
 //!   disabled path being all that runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use runtime::{ShardedCache, SweepExecutor};
+use runtime::{Cache, SweepExecutor};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -117,7 +117,7 @@ fn print_always_on_overhead() {
 
 fn sweep(threads: usize, points: u64) -> usize {
     let executor = SweepExecutor::new(threads);
-    let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::for_threads(threads));
+    let cache: Arc<Cache<u64, u64>> = Arc::new(Cache::new());
     let items: Vec<(u64, u64)> = (0..points).map(|i| (i, i)).collect();
     let report = executor.run_keyed(&cache, items, |&k, _| work(k));
     report.try_into_values().unwrap().len()

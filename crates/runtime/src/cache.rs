@@ -1,5 +1,4 @@
-//! A lock-sharded concurrent memoization cache with in-flight
-//! deduplication.
+//! A concurrent memoization cache with in-flight deduplication.
 //!
 //! The sweep executor runs many `(workload, config)` points in
 //! parallel, and distinct experiment points frequently share a
@@ -8,19 +7,20 @@
 //! computed value while guaranteeing the computation runs **once**,
 //! even when several threads ask concurrently:
 //!
-//! * The key space is split across `shards` independent `Mutex<HashMap>`
-//!   shards, so unrelated keys never contend on one lock.
+//! * One `Mutex<HashMap>` holds every entry. A lookup holds the lock
+//!   for well under a microsecond, while the points it guards take
+//!   milliseconds to seconds, so one lock is enough (DESIGN.md §8).
 //! * The first requester of a key installs an *in-flight* marker and
-//!   computes outside the shard lock; concurrent requesters of the same
-//!   key block on that marker's condvar instead of recomputing.
+//!   computes outside the lock; concurrent requesters of the same key
+//!   block on that marker's condvar instead of recomputing.
 //! * If the computation panics, the marker is removed — the cache is
 //!   **not poisoned**: waiters see the failure as an [`Err`] they can
 //!   surface per-point, and a later request simply recomputes.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Error returned to waiters whose computation panicked in the owning
 /// thread.
@@ -71,75 +71,41 @@ impl<V: Clone> Flight<V> {
     }
 }
 
-/// Deterministic shard router (the per-process `RandomState` seeds of
-/// `HashMap` would still be *correct*, but a fixed hasher keeps shard
-/// assignment reproducible run to run, which makes contention profiles
-/// stable and debuggable).
-#[derive(Default)]
-pub struct FxHasher {
-    state: u64,
+/// A concurrent memoization map behind one lock.
+pub struct Cache<K, V> {
+    map: Mutex<HashMap<K, Slot<V>>>,
 }
 
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        self.state
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        // FxHash-style multiply-rotate mix.
-        for &b in bytes {
-            self.state =
-                (self.state.rotate_left(5) ^ b as u64).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-        }
-    }
-}
-
-/// A concurrent memoization map sharded over independent locks.
-pub struct ShardedCache<K, V> {
-    shards: Vec<Mutex<HashMap<K, Slot<V>>>>,
-}
-
-impl<K, V> std::fmt::Debug for ShardedCache<K, V> {
+impl<K, V> std::fmt::Debug for Cache<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCache")
-            .field("shards", &self.shards.len())
-            .finish()
+        f.debug_struct("Cache").finish_non_exhaustive()
     }
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
-    /// A cache with `shards` lock shards (rounded up to a power of two).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        ShardedCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+impl<K: Hash + Eq + Clone, V: Clone> Default for Cache<K, V> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
+    /// An empty cache.
+    pub fn new() -> Self {
+        Cache {
+            map: Mutex::new(HashMap::new()),
         }
     }
 
-    /// A cache sized for `threads` concurrent requesters.
-    pub fn for_threads(threads: usize) -> Self {
-        // 4x the thread count keeps the collision probability of two
-        // active threads on one shard lock low without bloating memory.
-        Self::new(threads.saturating_mul(4).clamp(1, 256))
+    /// The locked map. Computations run outside the lock, so only a
+    /// key's own `Hash`, `Eq` or `Clone` panicking could poison it.
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, Slot<V>>> {
+        self.map.lock().expect("a key's Hash, Eq or Clone panicked")
     }
 
-    fn shard_of(&self, key: &K) -> &Mutex<HashMap<K, Slot<V>>> {
-        let hash = BuildHasherDefault::<FxHasher>::default().hash_one(key);
-        let i = (hash as usize) & (self.shards.len() - 1);
-        &self.shards[i]
-    }
-
-    /// Number of finished entries across all shards.
+    /// Number of finished entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap()
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        let map = self.lock();
+        map.values().filter(|s| matches!(s, Slot::Ready(_))).count()
     }
 
     /// Whether the cache holds no finished entries.
@@ -149,7 +115,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
 
     /// The cached value for `key`, if finished.
     pub fn get(&self, key: &K) -> Option<V> {
-        match self.shard_of(key).lock().unwrap().get(key) {
+        match self.lock().get(key) {
             Some(Slot::Ready(v)) => Some(v.clone()),
             _ => None,
         }
@@ -168,15 +134,15 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     ) -> Result<V, ComputePanicked> {
         // Fast path / claim.
         let flight = {
-            let mut shard = self.shard_of(key).lock().unwrap();
-            match shard.get(key) {
+            let mut map = self.lock();
+            match map.get(key) {
                 Some(Slot::Ready(v)) => {
                     trace::count("cache.hit", 1);
                     return Ok(v.clone());
                 }
                 Some(Slot::InFlight(flight)) => {
                     let flight = Arc::clone(flight);
-                    drop(shard);
+                    drop(map);
                     trace::count("cache.in_flight_wait", 1);
                     let _span = trace::span("cache.wait");
                     return flight.wait();
@@ -187,16 +153,16 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
                         outcome: Mutex::new(None),
                         done: Condvar::new(),
                     });
-                    shard.insert(key.clone(), Slot::InFlight(Arc::clone(&flight)));
+                    map.insert(key.clone(), Slot::InFlight(Arc::clone(&flight)));
                     flight
                 }
             }
         };
 
-        // Own the computation, outside any shard lock. An armed
-        // cache-poison fault (see [`crate::faults`]) fires here — after
-        // the in-flight claim — so injected failures exercise the same
-        // waiter-wakeup path as a real panicking computation.
+        // Own the computation, outside the lock. An armed cache-poison
+        // fault (see [`crate::faults`]) fires here — after the in-flight
+        // claim — so injected failures exercise the same waiter-wakeup
+        // path as a real panicking computation.
         let result = {
             let _span = trace::span("cache.compute");
             catch_unwind(AssertUnwindSafe(|| {
@@ -206,13 +172,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
         };
         let outcome = match result {
             Ok(v) => {
-                let mut shard = self.shard_of(key).lock().unwrap();
-                shard.insert(key.clone(), Slot::Ready(v.clone()));
+                self.lock().insert(key.clone(), Slot::Ready(v.clone()));
                 Ok(v)
             }
             Err(payload) => {
-                let mut shard = self.shard_of(key).lock().unwrap();
-                shard.remove(key);
+                self.lock().remove(key);
                 Err(ComputePanicked {
                     message: panic_message(payload.as_ref()),
                 })
@@ -244,10 +208,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// persisted to the disk store, the memory copy is dropped so the
     /// store's LRU size cap remains the only capacity policy.
     pub fn remove(&self, key: &K) -> bool {
-        let mut shard = self.shard_of(key).lock().unwrap();
-        match shard.get(key) {
+        let mut map = self.lock();
+        match map.get(key) {
             Some(Slot::Ready(_)) => {
-                shard.remove(key);
+                map.remove(key);
                 true
             }
             _ => false,
@@ -258,9 +222,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedCache<K, V> {
     /// owners still publish to their waiters through the detached
     /// flight handle; they just no longer populate the cache.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap().clear();
-        }
+        self.lock().clear();
     }
 }
 
@@ -272,7 +234,7 @@ mod tests {
 
     #[test]
     fn computes_once_per_key() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::new(8);
+        let cache: Cache<u64, u64> = Cache::new();
         let calls = AtomicU64::new(0);
         for i in 0..100 {
             let v = cache
@@ -289,7 +251,7 @@ mod tests {
 
     #[test]
     fn concurrent_requesters_share_one_computation() {
-        let cache: Arc<ShardedCache<u32, Arc<Vec<u8>>>> = Arc::new(ShardedCache::new(4));
+        let cache: Arc<Cache<u32, Arc<Vec<u8>>>> = Arc::new(Cache::new());
         let calls = Arc::new(AtomicU64::new(0));
         let barrier = Arc::new(Barrier::new(8));
         let handles: Vec<_> = (0..8)
@@ -319,7 +281,7 @@ mod tests {
 
     #[test]
     fn panicking_computation_does_not_poison() {
-        let cache: ShardedCache<u8, u8> = ShardedCache::new(2);
+        let cache: Cache<u8, u8> = Cache::new();
         let r = cache.get_or_compute(&1, || panic!("boom"));
         assert!(r.is_err());
         assert!(r.unwrap_err().message.contains("boom"));

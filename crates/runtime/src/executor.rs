@@ -1,17 +1,24 @@
 //! The sweep executor: schedules simulation points onto the pool,
-//! deduplicates shared work through the sharded cache, and collects
-//! results in submission order so parallel output is bit-identical to
-//! serial output.
+//! deduplicates shared work through the cache, and collects results in
+//! submission order so parallel output is bit-identical to serial
+//! output.
 
-use crate::cache::{panic_message, ShardedCache};
+use crate::cache::{panic_message, Cache};
 use crate::faults::{self, FaultKind, FaultPlan};
 use crate::metrics::SweepMetrics;
 use crate::pool::{current_worker_index, ThreadPool};
 use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Sleep before the first retry of a point; each further retry doubles
+/// it, up to [`MAX_BACKOFF`].
+const BACKOFF: Duration = Duration::from_millis(10);
+/// Upper bound on a single backoff sleep.
+const MAX_BACKOFF: Duration = Duration::from_secs(1);
 
 /// Why a sweep point failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,8 +75,9 @@ impl std::error::Error for SweepError {}
 
 /// How the executor retries failed sweep points.
 ///
-/// The default policy is one attempt, no backoff, no deadline — the
-/// exact semantics the executor had before retries existed.
+/// The default policy is one attempt and no deadline — the exact
+/// semantics the executor had before retries existed. Retry `n` sleeps
+/// 10 ms × 2^(n−1) first, capped at 1 s.
 ///
 /// The deadline is **cooperative**: a std-only runtime cannot preempt a
 /// running closure, so the attempt's elapsed time is checked after it
@@ -81,11 +89,6 @@ impl std::error::Error for SweepError {}
 pub struct RetryPolicy {
     /// Maximum attempts per point (minimum 1).
     pub max_attempts: u32,
-    /// Backoff before retry `n` is `backoff << (n - 1)`, capped at
-    /// `max_backoff`.
-    pub backoff: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub max_backoff: Duration,
     /// Per-point deadline; `None` disables timeout detection.
     pub point_deadline: Option<Duration>,
 }
@@ -94,8 +97,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 1,
-            backoff: Duration::ZERO,
-            max_backoff: Duration::from_secs(1),
             point_deadline: None,
         }
     }
@@ -107,7 +108,6 @@ impl RetryPolicy {
     pub fn retries(retries: u32) -> Self {
         RetryPolicy {
             max_attempts: retries.saturating_add(1).max(1),
-            backoff: Duration::from_millis(10),
             ..RetryPolicy::default()
         }
     }
@@ -117,17 +117,12 @@ impl RetryPolicy {
         self.point_deadline = Some(deadline);
         self
     }
+}
 
-    /// The sleep before attempt number `attempt` (1-based retry index).
-    fn backoff_before(&self, attempt: u32) -> Duration {
-        if self.backoff.is_zero() {
-            return Duration::ZERO;
-        }
-        let shift = attempt.saturating_sub(1).min(16);
-        self.backoff
-            .saturating_mul(1 << shift)
-            .min(self.max_backoff)
-    }
+/// The sleep before attempt number `attempt` (1-based retry index).
+fn backoff_before(attempt: u32) -> Duration {
+    let shift = attempt.saturating_sub(1).min(16);
+    BACKOFF.saturating_mul(1 << shift).min(MAX_BACKOFF)
 }
 
 /// Per-point outcome: the computed value or the panic that replaced it.
@@ -182,66 +177,8 @@ impl<O> SweepReport<O> {
     }
 }
 
-/// Submission-indexed result collector: jobs write into their slot and
-/// the submitting thread blocks until every slot is filled.
-struct Collector<O> {
-    slots: Mutex<CollectorState<O>>,
-    done: Condvar,
-}
-
-struct CollectorState<O> {
-    results: Vec<Option<PointOutcome<O>>>,
-    remaining: usize,
-}
-
-impl<O> Collector<O> {
-    fn new(n: usize) -> Self {
-        Collector {
-            slots: Mutex::new(CollectorState {
-                results: (0..n).map(|_| None).collect(),
-                remaining: n,
-            }),
-            done: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, indices: &[usize], outcome: &PointOutcome<O>)
-    where
-        O: Clone,
-    {
-        let mut state = self.slots.lock().unwrap();
-        for &i in indices {
-            debug_assert!(state.results[i].is_none(), "slot {i} filled twice");
-            state.results[i] = Some(outcome.clone());
-            state.remaining -= 1;
-        }
-        if state.remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// Blocks until all slots are filled, invoking `tick` periodically
-    /// (progress reporting).
-    fn wait(&self, mut tick: impl FnMut()) -> Vec<PointOutcome<O>> {
-        let mut state = self.slots.lock().unwrap();
-        while state.remaining > 0 {
-            let (next, _timeout) = self
-                .done
-                .wait_timeout(state, Duration::from_millis(100))
-                .unwrap();
-            state = next;
-            tick();
-        }
-        state
-            .results
-            .drain(..)
-            .map(|r| r.expect("slot filled"))
-            .collect()
-    }
-}
-
-/// Schedules `(key, item)` simulation points over a work-stealing pool
-/// with cache-backed deduplication and deterministic collection.
+/// Schedules `(key, item)` simulation points over a thread pool with
+/// cache-backed deduplication and deterministic collection.
 ///
 /// With one thread the executor runs points inline on the calling
 /// thread in submission order — the exact serial semantics the `xp`
@@ -329,7 +266,12 @@ impl SweepExecutor {
             .enumerate()
             .map(|(i, item)| (i, vec![i], item))
             .collect();
-        self.execute(unique, total, move |_key: &usize, item: &I| f(item))
+        self.execute(
+            unique,
+            total,
+            move |_key: &usize, item: &I| f(item),
+            |_| false,
+        )
     }
 
     /// Runs keyed points with deduplication: items sharing a key are
@@ -338,7 +280,7 @@ impl SweepExecutor {
     /// shared value. Outcomes are in submission order.
     pub fn run_keyed<K, I, O, F>(
         &self,
-        cache: &Arc<ShardedCache<K, O>>,
+        cache: &Arc<Cache<K, O>>,
         items: Vec<(K, I)>,
         f: F,
     ) -> SweepReport<O>
@@ -350,7 +292,6 @@ impl SweepExecutor {
     {
         let total = items.len();
         let cache = Arc::clone(cache);
-        let f = Arc::new(f);
 
         // Group submission indices by key, keeping the first item as the
         // representative input and preserving first-submission order of
@@ -374,25 +315,12 @@ impl SweepExecutor {
             move |key: &K| cache.get(key).is_some()
         };
         let compute = move |key: &K, item: &I| cache.get_or_compute_unwrap(key, || f(key, item));
-        self.execute_with_hits(unique, total, compute, hit_counter)
+        self.execute(unique, total, compute, hit_counter)
     }
 
-    fn execute<K, I, O, F>(
-        &self,
-        unique: Vec<(K, Vec<usize>, I)>,
-        total: usize,
-        f: F,
-    ) -> SweepReport<O>
-    where
-        K: Send + 'static,
-        I: Send + 'static,
-        O: Clone + Send + 'static,
-        F: Fn(&K, &I) -> O + Send + Sync + 'static,
-    {
-        self.execute_with_hits(unique, total, f, |_| false)
-    }
-
-    fn execute_with_hits<K, I, O, F, H>(
+    /// Runs each unique `(key, indices, item)` point once and hands its
+    /// outcome to every submission index in `indices`.
+    fn execute<K, I, O, F, H>(
         &self,
         unique: Vec<(K, Vec<usize>, I)>,
         total: usize,
@@ -408,13 +336,9 @@ impl SweepExecutor {
     {
         let metrics = Arc::new(SweepMetrics::new(self.threads));
         metrics.submitted.store(total, Ordering::Relaxed);
-        let collector = Arc::new(Collector::new(total));
-        let f = Arc::new(f);
-        let is_cache_hit = Arc::new(is_cache_hit);
 
         let run_point = {
             let metrics = Arc::clone(&metrics);
-            let collector = Arc::clone(&collector);
             let progress = self.progress;
             let policy = self.policy;
             let faults = self.faults.clone();
@@ -473,10 +397,7 @@ impl SweepExecutor {
                     metrics.retries.fetch_add(1, Ordering::Relaxed);
                     trace::count("executor.retry", 1);
                     attempt += 1;
-                    let backoff = policy.backoff_before(attempt);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
+                    std::thread::sleep(backoff_before(attempt));
                 };
                 metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
                 metrics
@@ -499,36 +420,57 @@ impl SweepExecutor {
                         .cache_hits
                         .fetch_add(indices.len() - 1, Ordering::Relaxed);
                 }
-                collector.fill(&indices, &outcome);
                 if progress {
                     metrics.maybe_print_progress(Duration::from_millis(500));
                 }
+                (indices, outcome)
             }
         };
 
+        // Each finished point sends its submission indices and outcome.
         // A sweep submitted from a pool worker (a point that itself
         // sweeps) runs inline: blocking a worker on jobs queued behind it
         // could leave no worker free to run them.
+        let (done, finished) = mpsc::channel();
         match &self.pool {
             Some(pool) if current_worker_index().is_none() => {
                 let run_point = Arc::new(run_point);
                 for (key, indices, item) in unique {
-                    let run_point = Arc::clone(&run_point);
-                    pool.spawn(move || run_point(key, indices, item));
+                    let (run_point, done) = (Arc::clone(&run_point), done.clone());
+                    pool.spawn(move || {
+                        let _ = done.send(run_point(key, indices, item));
+                    });
                 }
             }
             _ => {
                 for (key, indices, item) in unique {
-                    run_point(key, indices, item);
+                    let _ = done.send(run_point(key, indices, item));
                 }
             }
         }
+        drop(done);
 
-        let outcomes = collector.wait(|| {
+        // The channel disconnects once every point has reported.
+        let mut slots: Vec<Option<PointOutcome<O>>> = (0..total).map(|_| None).collect();
+        loop {
+            match finished.recv_timeout(Duration::from_millis(100)) {
+                Ok((indices, outcome)) => {
+                    for i in indices {
+                        slots[i] = Some(outcome.clone());
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
             if self.progress {
                 metrics.maybe_print_progress(Duration::from_millis(500));
             }
-        });
+        }
+        metrics.finish();
+        let outcomes = slots
+            .into_iter()
+            .map(|slot| slot.expect("every point reports once"))
+            .collect();
         if self.progress {
             // Close an in-place progress line so the summary (or the
             // shell prompt) starts on a fresh line.
@@ -599,6 +541,18 @@ mod tests {
     }
 
     #[test]
+    fn finished_sweep_metrics_stop_the_clock() {
+        let report = SweepExecutor::new(2).run(vec![1u32, 2, 3], |&n| n);
+        let wall = || {
+            let j = report.metrics.to_json();
+            j.get("wall_time_secs").unwrap().as_f64().unwrap()
+        };
+        let at_return = wall();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(wall(), at_return, "a finished sweep's wall time is frozen");
+    }
+
+    #[test]
     fn transient_faults_are_retried_to_success() {
         let plan = FaultPlan::new(0).with_forced_panics(&[0, 2]);
         let executor = SweepExecutor::new(1)
@@ -660,7 +614,7 @@ mod tests {
         let executor = SweepExecutor::new(1)
             .with_retry_policy(RetryPolicy::retries(1))
             .with_faults(plan);
-        let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::new(4));
+        let cache: Arc<Cache<u64, u64>> = Arc::new(Cache::new());
         let items: Vec<(u64, u64)> = (0..4).map(|i| (i, i)).collect();
         let report = executor.run_keyed(&cache, items, |&k, _| k + 100);
         assert_eq!(report.try_into_values().unwrap(), vec![100, 101, 102, 103]);

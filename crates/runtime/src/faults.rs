@@ -14,7 +14,7 @@
 //! faults sticky, which is how the give-up path is exercised.
 //!
 //! [`FaultKind::PoisonCache`] is delivered through a thread-local armed
-//! by the executor and consumed inside [`crate::ShardedCache`]'s compute
+//! by the executor and consumed inside [`crate::Cache`]'s compute
 //! path — the panic happens *after* the in-flight marker is installed,
 //! which is the only way to exercise the waiter-sees-panic protocol
 //! from outside the cache.
@@ -160,7 +160,7 @@ pub fn disarm_cache_poison() {
 }
 
 /// Panics if a cache-poison fault is armed, consuming it. Called by
-/// [`crate::ShardedCache::get_or_compute`] after the in-flight marker
+/// [`crate::Cache::get_or_compute`] after the in-flight marker
 /// is installed.
 pub fn fire_armed_cache_poison() {
     if CACHE_POISON_ARMED.with(|c| c.replace(false)) {

@@ -7,9 +7,9 @@
 //! layer that runs that sweep as fast as the hardware allows while
 //! keeping the output bit-identical to the historical serial runner:
 //!
-//! * [`ThreadPool`] — a hand-rolled, std-only work-stealing pool
-//!   (per-worker deques, injector queue, panic-isolated jobs).
-//! * [`ShardedCache`] — a lock-sharded memoization cache with in-flight
+//! * [`ThreadPool`] — a hand-rolled, std-only pool: one FIFO job queue,
+//!   panic-isolated jobs.
+//! * [`Cache`] — a memoization map behind one lock, with in-flight
 //!   deduplication: one computation per key no matter how many threads
 //!   ask, and no poisoning when a computation panics.
 //! * [`SweepExecutor`] — schedules keyed points onto the pool, fans a
@@ -30,11 +30,11 @@
 //! # Examples
 //!
 //! ```
-//! use runtime::{ShardedCache, SweepExecutor};
+//! use runtime::{Cache, SweepExecutor};
 //! use std::sync::Arc;
 //!
 //! let executor = SweepExecutor::new(4);
-//! let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::for_threads(4));
+//! let cache: Arc<Cache<u64, u64>> = Arc::new(Cache::new());
 //! // Nine points over three unique keys: each key simulates once.
 //! let items: Vec<(u64, u64)> = (0..9).map(|i| (i % 3, i)).collect();
 //! let report = executor.run_keyed(&cache, items, |key, _item| key * 100);
@@ -51,7 +51,7 @@ pub mod faults;
 pub mod metrics;
 pub mod pool;
 
-pub use cache::{ComputePanicked, ShardedCache};
+pub use cache::{Cache, ComputePanicked};
 pub use executor::{
     PointOutcome, RetryPolicy, SweepError, SweepErrorKind, SweepExecutor, SweepReport,
 };

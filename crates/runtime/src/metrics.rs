@@ -6,7 +6,7 @@ use common::json::Json;
 use common::table::TextTable;
 use std::io::IsTerminal;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How the progress line is emitted to stderr.
@@ -63,6 +63,8 @@ pub struct SweepMetrics {
     /// Per-worker busy time, nanoseconds (indexed by worker slot).
     busy_nanos: Vec<AtomicU64>,
     start: Instant,
+    /// Wall time of the whole sweep, frozen by [`Self::finish`].
+    finished: OnceLock<Duration>,
     /// Last progress-line emission, for rate limiting.
     last_progress: Mutex<Instant>,
     /// How progress lines are rendered (in-place ANSI vs. plain).
@@ -96,6 +98,7 @@ impl SweepMetrics {
             max_point_nanos: AtomicU64::new(0),
             busy_nanos: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
             start: now,
+            finished: OnceLock::new(),
             last_progress: Mutex::new(now),
             progress_mode,
             progress_line_open: AtomicBool::new(false),
@@ -110,9 +113,20 @@ impl SweepMetrics {
         self.busy_nanos[worker % self.busy_nanos.len()].fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Elapsed wall time since the metrics were created.
+    /// Stops the sweep's clock: from now on [`Self::elapsed`] (and so
+    /// the wall time and utilization it feeds) stays at its current
+    /// value. The executor calls it once every point is collected.
+    pub fn finish(&self) {
+        let _ = self.finished.set(self.start.elapsed());
+    }
+
+    /// Wall time since the metrics were created, or the sweep's whole
+    /// wall time once [`Self::finish`] has run.
     pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
+        self.finished
+            .get()
+            .copied()
+            .unwrap_or_else(|| self.start.elapsed())
     }
 
     /// Mean simulated-point wall time, if any point finished.

@@ -3,7 +3,7 @@
 //! counts, and panic containment in the executor.
 
 use proptest::prelude::*;
-use runtime::{FaultPlan, RetryPolicy, ShardedCache, SweepExecutor, ThreadPool};
+use runtime::{Cache, FaultPlan, RetryPolicy, SweepExecutor, ThreadPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -27,14 +27,14 @@ proptest! {
         let items: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
 
         let serial = SweepExecutor::new(1);
-        let serial_cache = Arc::new(ShardedCache::for_threads(1));
+        let serial_cache = Arc::new(Cache::new());
         let expected = serial
             .run_keyed(&serial_cache, items.clone(), |&k, _| fake_simulate(k))
             .try_into_values()
             .unwrap();
 
         let parallel = SweepExecutor::new(threads);
-        let parallel_cache = Arc::new(ShardedCache::for_threads(threads));
+        let parallel_cache = Arc::new(Cache::new());
         let got = parallel
             .run_keyed(&parallel_cache, items, |&k, _| fake_simulate(k))
             .try_into_values()
@@ -49,8 +49,7 @@ proptest! {
         threads in 1_usize..9,
     ) {
         let executor = SweepExecutor::new(threads);
-        let cache: Arc<ShardedCache<u64, Arc<u64>>> =
-            Arc::new(ShardedCache::for_threads(threads));
+        let cache: Arc<Cache<u64, Arc<u64>>> = Arc::new(Cache::new());
         let computed = Arc::new(AtomicUsize::new(0));
         let items: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
         let counter = Arc::clone(&computed);
@@ -102,8 +101,7 @@ proptest! {
         threads in 1_usize..9,
     ) {
         let executor = SweepExecutor::new(threads);
-        let cache: Arc<ShardedCache<u64, u64>> =
-            Arc::new(ShardedCache::for_threads(threads));
+        let cache: Arc<Cache<u64, u64>> = Arc::new(Cache::new());
         let items: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
         let report = executor.run_keyed(&cache, items, move |&k, _| {
             if k == poison {
@@ -143,7 +141,7 @@ proptest! {
         waiters in 2_usize..8,
         key in 0_u64..16,
     ) {
-        let cache: Arc<ShardedCache<u64, u64>> = Arc::new(ShardedCache::new(4));
+        let cache: Arc<Cache<u64, u64>> = Arc::new(Cache::new());
         let barrier = Arc::new(Barrier::new(waiters + 1));
 
         // The owner claims the in-flight slot, releases the waiters while
@@ -198,7 +196,7 @@ proptest! {
     ) {
         let items: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
 
-        let clean_cache = Arc::new(ShardedCache::for_threads(1));
+        let clean_cache = Arc::new(Cache::new());
         let expected = SweepExecutor::new(1)
             .run_keyed(&clean_cache, items.clone(), |&k, _| fake_simulate(k))
             .try_into_values()
@@ -210,7 +208,7 @@ proptest! {
         let faulted = SweepExecutor::new(threads)
             .with_retry_policy(RetryPolicy::retries(2))
             .with_faults(plan);
-        let cache = Arc::new(ShardedCache::for_threads(threads));
+        let cache = Arc::new(Cache::new());
         let report = faulted.run_keyed(&cache, items, |&k, _| fake_simulate(k));
         let retries = report.metrics.retries.load(Ordering::Relaxed);
         let gave_up = report.metrics.gave_up.load(Ordering::Relaxed);

@@ -4,8 +4,8 @@
 //! and Chrome-trace export.
 //!
 //! The sweep runtime executes hundreds of simulation points across a
-//! work-stealing pool; when a run is slow (or a retry storm hits) a
-//! final metrics summary says *that* time was spent, not *where*. This
+//! thread pool; when a run is slow (or a retry storm hits) a final
+//! metrics summary says *that* time was spent, not *where*. This
 //! crate is the "where": lightweight spans over per-thread ring buffers
 //! plus a global registry of named counters and log-bucketed latency
 //! histograms, exportable as Chrome trace-event JSON (loadable in

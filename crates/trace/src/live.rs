@@ -14,10 +14,10 @@
 //!   instruments held in a server's hot path stay inside the same < 2%
 //!   overhead budget the disabled session path has (the `bench` crate's
 //!   `trace` bench holds both).
-//! * [`tick`] advances two fixed rings of *cumulative* snapshots
-//!   ([`RING_CAP`] each at 1 s and 1 min spacing). [`window`] diffs the
-//!   current cumulative state against the ring entry whose age best
-//!   matches the asked span — counter deltas for rates, delta
+//! * [`tick`] advances a fixed ring of *cumulative* snapshots
+//!   ([`RING_CAP`] at 1 s spacing). [`window`] diffs the current
+//!   cumulative state against the ring entry whose age best matches the
+//!   asked span — counter deltas for rates, delta
 //!   histograms (via [`HistogramSnapshot::diff`], the inverse of the
 //!   associative merge) for recent p50/p99. Keeping cumulative
 //!   snapshots rather than per-tick deltas makes any window a single
@@ -40,8 +40,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// Entries kept per rollup ring: just over a minute of 1 s history and
-/// just over an hour of 1 min history.
+/// Entries kept in the rollup ring: just over a minute of 1 s history,
+/// which covers the daemon's 60 s metrics window.
 pub const RING_CAP: usize = 64;
 
 struct Ring {
@@ -70,22 +70,13 @@ impl Ring {
             self.snaps.push_back(now.clone());
         }
     }
-}
 
-struct Rings {
-    fine: Ring,
-    coarse: Ring,
-}
-
-impl Rings {
     /// The retained snapshot whose age best matches `target` (absolute
-    /// nanos since the trace epoch): minimal `|at - target|` across both
-    /// rings, ties to the older entry.
+    /// nanos since the trace epoch): minimal `|at - target|`, ties to
+    /// the older entry.
     fn best_for(&self, target: u64) -> Option<&LiveSnapshot> {
-        self.fine
-            .snaps
+        self.snaps
             .iter()
-            .chain(self.coarse.snaps.iter())
             .min_by_key(|s| (s.at_nanos.abs_diff(target), s.at_nanos))
     }
 }
@@ -93,7 +84,7 @@ impl Rings {
 struct Registry {
     counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
     hists: Mutex<HashMap<String, Arc<Histogram>>>,
-    rings: Mutex<Rings>,
+    ring: Mutex<Ring>,
 }
 
 fn registry() -> &'static Registry {
@@ -101,10 +92,7 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| Registry {
         counters: Mutex::new(HashMap::new()),
         hists: Mutex::new(HashMap::new()),
-        rings: Mutex::new(Rings {
-            fine: Ring::new(Duration::from_secs(1)),
-            coarse: Ring::new(Duration::from_secs(60)),
-        }),
+        ring: Mutex::new(Ring::new(Duration::from_secs(1))),
     })
 }
 
@@ -361,32 +349,29 @@ fn delta(now: LiveSnapshot, base: &LiveSnapshot) -> Window {
     }
 }
 
-/// Advances the rollup rings: appends a cumulative snapshot to each
-/// ring whose newest entry is at least one spacing old. Call it
-/// periodically (a daemon ticker thread) or opportunistically before
+/// Advances the rollup ring: appends a cumulative snapshot if the
+/// newest entry is at least one spacing old. Call it periodically (a daemon ticker thread) or opportunistically before
 /// queries — [`window`] calls it itself, so a process that only ever
 /// asks still gets history at its query cadence.
 pub fn tick() {
     let now = cumulative();
-    let mut rings = crate::lock(&registry().rings);
-    rings.fine.advance(&now);
-    rings.coarse.advance(&now);
+    crate::lock(&registry().ring).advance(&now);
 }
 
 /// Deltas over (approximately) the last `want` of wall time: the
 /// current cumulative state diffed against the retained snapshot whose
 /// age best matches `want`, falling back to the process-start baseline
-/// (all zeros at the trace epoch) when the rings hold nothing closer.
+/// (all zeros at the trace epoch) when the ring holds nothing closer.
 /// Check [`Window::elapsed_nanos`] for the span actually covered.
 pub fn window(want: Duration) -> Window {
     tick();
     let now = cumulative();
     let target = now.at_nanos.saturating_sub(want.as_nanos() as u64);
     let base = {
-        let rings = crate::lock(&registry().rings);
+        let ring = crate::lock(&registry().ring);
         // The epoch baseline competes with ring entries on the same
         // distance-to-target footing.
-        match rings.best_for(target) {
+        match ring.best_for(target) {
             Some(best) if best.at_nanos.abs_diff(target) <= target => Some(best.clone()),
             _ => None,
         }
@@ -503,25 +488,21 @@ mod tests {
 
     #[test]
     fn best_for_picks_the_closest_retained_snapshot() {
-        let mut rings = Rings {
-            fine: Ring::new(Duration::from_secs(1)),
-            coarse: Ring::new(Duration::from_secs(60)),
-        };
+        let mut ring = Ring::new(Duration::from_secs(1));
         for at in [10u64, 11, 12] {
-            rings.fine.advance(&snap(at * 1_000_000_000, at));
+            ring.advance(&snap(at * 1_000_000_000, at));
         }
-        rings.coarse.advance(&snap(0, 0));
-        let best = rings.best_for(11_200_000_000).unwrap();
+        let best = ring.best_for(11_200_000_000).unwrap();
         assert_eq!(best.at_nanos, 11_000_000_000);
-        let best = rings.best_for(500_000_000).unwrap();
-        assert_eq!(best.at_nanos, 0, "coarse ring serves old targets");
+        let best = ring.best_for(11_500_000_000).unwrap();
+        assert_eq!(best.at_nanos, 11_000_000_000, "ties go to the older entry");
     }
 
     #[test]
     fn window_covers_the_whole_process_before_any_history_exists() {
         let c = counter("test.live.window");
         c.add(3);
-        // Even if the rings hold only fresh entries, a wide window must
+        // Even if the ring holds only fresh entries, a wide window must
         // not diff against "now" and report zero activity.
         let w = window(Duration::from_secs(3600));
         assert!(w.counter("test.live.window") >= 3);

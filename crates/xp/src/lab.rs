@@ -6,7 +6,7 @@
 //! *simulation* — energy-model knobs (link pJ/bit, amortization) reuse the
 //! same counts, which is exactly how the paper's point studies work.
 //!
-//! Since the runtime port, the cache is a [`runtime::ShardedCache`] shared
+//! Since the runtime port, the cache is a [`runtime::Cache`] shared
 //! across threads and sweeps go through a [`runtime::SweepExecutor`]:
 //! figure generators call [`Lab::prime`] (or [`Lab::prime_suite`]) to
 //! simulate every point of their sweep in parallel, then evaluate
@@ -18,7 +18,7 @@ use common::units::Time;
 use gpujoule::{EdpScalingEfficiency, EnergyBreakdown, EnergyDelay};
 use isa::EventCounts;
 use runtime::{
-    FaultPlan, RetryPolicy, ShardedCache, SweepError, SweepExecutor, SweepMetrics, SweepReport,
+    Cache, FaultPlan, RetryPolicy, SweepError, SweepExecutor, SweepMetrics, SweepReport,
 };
 use sim::GpuSim;
 use std::sync::{Arc, Mutex};
@@ -102,7 +102,7 @@ fn simulate(scale: Scale, workload: &WorkloadSpec, config: &ExpConfig) -> Arc<Ev
 /// `MMGPU_THREADS`, or else the machine's available parallelism.
 pub struct Lab {
     scale: Scale,
-    cache: Arc<ShardedCache<SimKey, Arc<EventCounts>>>,
+    cache: Arc<Cache<SimKey, Arc<EventCounts>>>,
     executor: SweepExecutor,
     /// Metrics of every [`Lab::prime`] sweep, in execution order (the
     /// `xp` driver records the whole history in its run manifest).
@@ -120,7 +120,7 @@ impl Lab {
         let threads = threads.max(1);
         Lab {
             scale,
-            cache: Arc::new(ShardedCache::for_threads(threads)),
+            cache: Arc::new(Cache::new()),
             executor: SweepExecutor::new(threads).with_progress(threads > 1),
             sweeps: Mutex::new(Vec::new()),
         }

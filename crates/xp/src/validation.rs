@@ -21,7 +21,7 @@ use common::units::Time;
 use gpujoule::{EnergyModel, EpiTable, EptTable, ValidationItem, ValidationReport};
 use isa::{Opcode, Transaction};
 use microbench::{FitConfig, FittedModel, MixedRun};
-use runtime::{ShardedCache, SweepError};
+use runtime::{Cache, SweepError};
 use silicon::{HiddenBehavior, KernelActivity, RunProfile, VirtualK40};
 use sim::{GpuConfig, GpuSim};
 use std::sync::{Arc, LazyLock};
@@ -38,17 +38,17 @@ pub fn fit_config(scale: Scale) -> FitConfig {
 /// A process-wide memo of fallible results. A failure reaches every
 /// caller that joined the computation, then is evicted, so the next call
 /// computes afresh instead of replaying it.
-type Memo<V> = LazyLock<ShardedCache<String, Result<V, SweepError>>>;
+type Memo<V> = LazyLock<Cache<String, Result<V, SweepError>>>;
 
 /// Fitted models, keyed by [`fit_key`]. The pipeline is deterministic,
 /// so a cached fit is identical to a refit; artifacts that need the same
 /// board's fit (Table Ib, Figs. 4a/4b, the validation claims, the
 /// portability study's validation loop) share one.
-static FITS: Memo<Arc<FittedModel>> = LazyLock::new(|| ShardedCache::new(16));
+static FITS: Memo<Arc<FittedModel>> = LazyLock::new(Cache::new);
 /// Fig. 4a reports of the standard board, keyed by scale and fit key.
-static FIG4A: Memo<Arc<ValidationReport>> = LazyLock::new(|| ShardedCache::new(4));
+static FIG4A: Memo<Arc<ValidationReport>> = LazyLock::new(Cache::new);
 /// Fig. 4b reports of the standard board, keyed by scale and fit key.
-static FIG4B: Memo<Arc<ValidationReport>> = LazyLock::new(|| ShardedCache::new(4));
+static FIG4B: Memo<Arc<ValidationReport>> = LazyLock::new(Cache::new);
 
 fn memoized<V: Clone>(
     memo: &Memo<V>,

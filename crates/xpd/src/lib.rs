@@ -22,8 +22,8 @@
 //! * **Exactly-once execution per digest.** Concurrent clients asking
 //!   for the same (artifact, deltas) pair dedup through the same
 //!   in-flight cache the sweep worker threads use
-//!   ([`runtime::cache::ShardedCache`]): one leader computes, joiners
-//!   wait, everyone gets the same bytes.
+//!   ([`runtime::cache::Cache`]): one leader computes, joiners wait,
+//!   everyone gets the same bytes.
 //! * **Byte-identity.** Payloads are the exact bytes `xp run --out`
 //!   writes for the same artifact, so warm answers are
 //!   indistinguishable from cold ones.

@@ -18,7 +18,7 @@
 //! ```
 //!
 //! The in-flight entry is removed as soon as the leader has answered:
-//! the [`ShardedCache`] is purely a dedup point, and the disk store's
+//! the [`Cache`] is purely a dedup point, and the disk store's
 //! LRU size cap stays the only capacity policy. A request that arrives
 //! after removal simply becomes a new leader and hits the store.
 
@@ -33,7 +33,7 @@ use crate::store::{Durability, ResultStore, StoreEvent};
 use crate::QueryEngine;
 use common::json::Json;
 use common::proto::{MetricsFormat, QueryRequest, QueryResponse, RequestOp, Source};
-use runtime::cache::{panic_message, ShardedCache};
+use runtime::cache::{panic_message, Cache};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -46,6 +46,11 @@ use trace::live::{LiveHistogram, ScopedCounter};
 
 /// How often accept loops and idle connections check the stop flag.
 const POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line a connection may send, newline included. A
+/// line that reaches it without a newline gets one `error` response and
+/// the connection closes, so no client can grow a buffer without limit.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Where and how a [`Server`] listens and stores results.
 #[derive(Debug, Clone)]
@@ -271,7 +276,7 @@ struct Shared {
     store: ResultStore,
     queue: FairQueue<Job>,
     queue_cap: usize,
-    inflight: ShardedCache<String, Answer>,
+    inflight: Cache<String, Answer>,
     counters: Counters,
     latency: Latency,
     stop: AtomicBool,
@@ -409,7 +414,7 @@ impl Server {
                 store,
                 queue: FairQueue::new(config.queue_cap),
                 queue_cap: config.queue_cap.max(1),
-                inflight: ShardedCache::new(16),
+                inflight: Cache::new(),
                 counters: Counters::new(),
                 latency: Latency::new(),
                 stop: AtomicBool::new(false),
@@ -461,10 +466,10 @@ impl Server {
     /// batch scheduler run on their own threads; pending cold requests
     /// drain (and persist) before this returns.
     pub fn run(self) -> Result<(), String> {
-        // The rollup ticker keeps the live registry's 1 s / 1 min rings
-        // advancing even when nobody queries, so the first `metrics`
-        // request after a quiet hour still has a well-matched window
-        // baseline to diff against.
+        // The rollup ticker keeps the live registry's 1 s ring advancing
+        // even when nobody queries, so the first `metrics` request after
+        // a quiet spell still has a well-matched window baseline to diff
+        // against.
         let ticker = {
             let shared = Arc::clone(&self.shared);
             std::thread::Builder::new()
@@ -612,12 +617,29 @@ where
     for<'a> &'a S: Read + Write,
 {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // A partial line kept across a read timeout counts toward the cap.
+        let room = MAX_REQUEST_LINE.saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() >= MAX_REQUEST_LINE && line.last() != Some(&b'\n') => {
+                let body =
+                    QueryResponse::error(format!("request line exceeds {MAX_REQUEST_LINE} bytes"))
+                        .to_json()
+                        .render_jsonl_line();
+                let mut writer = stream;
+                let _ = writer
+                    .write_all(body.as_bytes())
+                    .and_then(|()| writer.flush());
+                break;
+            }
             Ok(_) => {
-                let text = std::mem::take(&mut line);
+                let bytes = std::mem::take(&mut line);
+                // Invalid UTF-8 closes the connection.
+                let Ok(text) = std::str::from_utf8(&bytes) else {
+                    break;
+                };
                 let text = text.trim();
                 if text.is_empty() {
                     continue;

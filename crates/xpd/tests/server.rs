@@ -308,6 +308,41 @@ fn malformed_lines_get_error_responses() {
 }
 
 #[test]
+fn an_endless_request_line_is_cut_off_at_the_cap() {
+    let dir = temp_dir("oversize");
+    let engine = Arc::new(MockEngine::default());
+    let (endpoint, handle) = start_tcp(ServerConfig::new(dir.join("store")), engine);
+
+    // 1 MiB with no newline: the daemon answers one `error` and closes
+    // the connection instead of buffering the line.
+    use std::io::{BufRead, BufReader, ErrorKind, Write};
+    let Endpoint::Tcp(addr) = &endpoint else {
+        unreachable!()
+    };
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    // The daemon may close before taking in every byte.
+    let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let response = QueryResponse::from_json(&Json::parse(&reply).unwrap()).unwrap();
+    assert_eq!(response.status, "error");
+    let message = response.error.unwrap();
+    assert!(message.contains("exceeds 65536 bytes"), "{message}");
+    reply.clear();
+    match reader.read_line(&mut reply) {
+        Ok(n) => assert_eq!(n, 0, "nothing follows the error: {reply:?}"),
+        // Closing with the rest of the line unread resets the connection.
+        Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset),
+    }
+
+    // A fresh connection is still answered.
+    ok_query(&endpoint, &QueryRequest::query("fig9"));
+    shutdown(&endpoint, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stats_reports_store_queue_and_engine_counters() {
     let dir = temp_dir("stats");
     let engine = Arc::new(MockEngine::default());
