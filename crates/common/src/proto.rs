@@ -89,9 +89,9 @@ pub struct QueryRequest {
     /// digest: the answer does not depend on it.
     pub deadline_ms: Option<u64>,
     /// Whether the server should attach a per-phase timing breakdown
-    /// (`queue_wait`, `batch_linger`, `eval`, `store_write`) to the
-    /// answer. Like `deadline_ms`, excluded from the content digest —
-    /// the payload bytes are identical either way.
+    /// (`queue_wait`, `eval`, `store_write`) to the answer. Like
+    /// `deadline_ms`, excluded from the content digest — the payload
+    /// bytes are identical either way.
     pub timing: bool,
     /// Rendering for [`RequestOp::Metrics`] responses; ignored by every
     /// other op.

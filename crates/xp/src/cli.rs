@@ -167,8 +167,6 @@ serve options:
   --store DIR              result store directory (default: xpd-store)
   --store-cap-mb N         store size cap before LRU eviction (default: 256)
   --queue-cap N            queued cold queries before `busy` (default: 256)
-  --batch-max N            cold queries per executor batch (default: 8)
-  --batch-window-ms MS     how long to gather a batch (default: 20)
   --trace FILE             record the serving session; write Chrome trace JSON
                            on shutdown (xpd.* counters feed `trace summary`)
   --durability POLICY      store write durability: none | flush | fsync
@@ -182,8 +180,7 @@ serve options:
                            (one JSONL record per slow request, with the same
                            per-phase timing breakdown --timing reports)
   --log FILE               append one structured JSONL event per request to
-                           FILE, rotating once to FILE.1 at the size cap
-  --log-cap-mb N           rotation cap for --log, in MiB (default: 4)
+                           FILE, rotating once to FILE.1 at 4 MiB
   --smoke, --threads N, --no-validation   as for `run`
 
 query options:
@@ -203,8 +200,8 @@ query options:
                            format instead (implies --metrics; the same body
                            the HTTP bridge serves at GET /metrics)
   --timing                 report the answer's per-phase timing breakdown
-                           (queue wait, batch linger, eval, store write) on
-                           stderr; the stdout payload stays byte-identical
+                           (queue wait, eval, store write) on stderr; the
+                           stdout payload stays byte-identical
   --timeout-ms MS          client I/O timeout (default: wait indefinitely;
                            cold queries can take minutes)
   --deadline-ms MS         server-side deadline: work still queued when it
@@ -495,10 +492,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
                         server.store_cap_bytes = flags.number::<u64>(arg, 1)?.saturating_mul(MIB)
                     }
                     "--queue-cap" => server.queue_cap = flags.number(arg, 1)?,
-                    "--batch-max" => server.batch_max = flags.number(arg, 1)?,
-                    "--batch-window-ms" => {
-                        server.batch_window = Duration::from_millis(flags.number(arg, 0)?)
-                    }
                     "--trace" => trace = Some(flags.path(arg)?),
                     "--durability" => {
                         let v = flags.value(arg)?;
@@ -508,9 +501,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
                     "--chaos-seed" => server.chaos_seed = Some(flags.number(arg, 0)?),
                     "--slow-ms" => server.slow_ms = Some(flags.number(arg, 1)?),
                     "--log" => server.log_file = Some(flags.path(arg)?),
-                    "--log-cap-mb" => {
-                        server.log_cap_bytes = flags.number::<u64>(arg, 1)?.saturating_mul(MIB)
-                    }
                     other => return flags.unknown(other),
                 }
             }
@@ -1908,10 +1898,6 @@ mod tests {
             "64",
             "--queue-cap",
             "4",
-            "--batch-max",
-            "2",
-            "--batch-window-ms",
-            "5",
             "--smoke",
             "--threads",
             "2",
@@ -1922,8 +1908,6 @@ mod tests {
             "250",
             "--log",
             "events.jsonl",
-            "--log-cap-mb",
-            "8",
         ])) else {
             panic!("expected a serve command");
         };
@@ -1933,22 +1917,18 @@ mod tests {
         assert_eq!(server.store_dir, Path::new("store-dir"));
         assert_eq!(server.store_cap_bytes, 64 * MIB);
         assert_eq!(server.queue_cap, 4);
-        assert_eq!(server.batch_max, 2);
-        assert_eq!(server.batch_window, Duration::from_millis(5));
         assert_eq!(opts.sweep.scale, Scale::Smoke);
         assert_eq!(opts.sweep.threads, 2);
         assert!(!opts.sweep.validation);
         assert_eq!(opts.trace.as_deref(), Some(Path::new("serve.trace.json")));
         assert_eq!(server.slow_ms, Some(250));
         assert_eq!(server.log_file.as_deref(), Some(Path::new("events.jsonl")));
-        assert_eq!(server.log_cap_bytes, 8 * MIB);
 
         // An endpoint is required; bad numbers are rejected.
         assert!(parse(&argv(&["serve"])).is_err());
         assert!(parse(&argv(&["serve", "--tcp", "x", "--store-cap-mb", "0"])).is_err());
         assert!(parse(&argv(&["serve", "--tcp", "x", "--queue-cap", "none"])).is_err());
         assert!(parse(&argv(&["serve", "--tcp", "x", "--slow-ms", "0"])).is_err());
-        assert!(parse(&argv(&["serve", "--tcp", "x", "--log-cap-mb", "no"])).is_err());
         assert!(parse(&argv(&["serve", "--frobnicate"])).is_err());
 
         // Telemetry flags stay off by default.
@@ -1957,7 +1937,6 @@ mod tests {
         };
         assert_eq!(opts.server.slow_ms, None);
         assert!(opts.server.log_file.is_none());
-        assert_eq!(opts.server.log_cap_bytes, 0);
     }
 
     #[test]
@@ -2138,14 +2117,11 @@ mod tests {
             (&["serve"], "--store", ANY),
             (&["serve"], "--store-cap-mb", POSITIVE),
             (&["serve"], "--queue-cap", POSITIVE),
-            (&["serve"], "--batch-max", POSITIVE),
-            (&["serve"], "--batch-window-ms", COUNT),
             (&["serve"], "--trace", ANY),
             (&["serve"], "--durability", &["", "sometimes"]),
             (&["serve"], "--chaos-seed", COUNT),
             (&["serve"], "--slow-ms", POSITIVE),
             (&["serve"], "--log", ANY),
-            (&["serve"], "--log-cap-mb", POSITIVE),
             (query, "--socket", ANY),
             (query, "--tcp", ANY),
             (query, "--set", &["", "bw2x"]),

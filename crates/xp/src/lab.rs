@@ -49,7 +49,9 @@ impl RunPoint {
     }
 }
 
-/// Cache key: the simulation-relevant parts of a configuration.
+/// Cache key: the simulation-relevant parts of a configuration. Real
+/// values are keyed by their exact bits, so two what-if values share a
+/// simulation only when the simulator would see the same input.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct SimKey {
     workload: String,
@@ -61,8 +63,8 @@ struct SimKey {
     pages: String,
     l2_mode: String,
     mlp: usize,
-    compression_milli: u64,
-    clock_milli: u64,
+    compression_bits: u64,
+    clock_hz_bits: u64,
     warp_scheduler: String,
 }
 
@@ -79,8 +81,8 @@ fn sim_key(workload: &WorkloadSpec, config: &ExpConfig) -> SimKey {
         pages: sim_cfg.page_policy.to_string(),
         l2_mode: sim_cfg.l2_mode.to_string(),
         mlp: sim_cfg.gpm.mlp_per_warp,
-        compression_milli: (sim_cfg.link_compression * 1000.0) as u64,
-        clock_milli: (config.clock_scale * 1000.0) as u64,
+        compression_bits: sim_cfg.link_compression.to_bits(),
+        clock_hz_bits: sim_cfg.gpm.clock.hz().to_bits(),
         warp_scheduler: sim_cfg.warp_scheduler.to_string(),
     }
 }
@@ -342,6 +344,18 @@ mod tests {
         let cfg3 = ExpConfig::paper_default(4, BwSetting::X2);
         let _ = lab.point(&w, &cfg3);
         assert_eq!(lab.cached_runs(), 2);
+    }
+
+    #[test]
+    fn clock_scales_that_round_alike_do_not_share_a_simulation() {
+        let w = by_name("Stream").unwrap();
+        let at = |clock| ExpConfig::paper_default(2, BwSetting::X2).with_clock_scale(clock);
+        let lab = Lab::new(Scale::Smoke);
+        let _ = lab.counts(&w, &at(0.7501));
+        let warm = lab.counts(&w, &at(0.7509));
+        assert_eq!(lab.cached_runs(), 2, "0.7509 got its own simulation");
+        let fresh = Lab::new(Scale::Smoke).counts(&w, &at(0.7509));
+        assert_eq!(*warm, *fresh, "an answer must not depend on the cache");
     }
 
     #[test]

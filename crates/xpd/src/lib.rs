@@ -28,8 +28,9 @@
 //!   writes for the same artifact, so warm answers are
 //!   indistinguishable from cold ones.
 //! * **Bounded everything.** The request queue is capped (excess load
-//!   answered `busy`), drained fairly across clients, and the store
-//!   evicts least-recently-used results at its size cap.
+//!   answered `busy`) and drained in arrival order, live connections
+//!   are capped, and the store evicts least-recently-used results at
+//!   its size cap.
 //! * **Self-healing storage.** Every stored payload carries a content
 //!   checksum ([`common::digest::payload_checksum`]); a torn or
 //!   bit-flipped file is quarantined on read and transparently
@@ -49,7 +50,7 @@ pub mod client;
 pub mod flightrec;
 pub mod log;
 pub mod metrics;
-pub mod queue;
+mod queue;
 pub mod server;
 pub mod store;
 

@@ -1,8 +1,8 @@
 //! Size-capped rotating structured event logs.
 //!
 //! [`EventLog`] appends one JSON object per line (JSONL) to a file the
-//! operator names with `--log`. When the file would grow past the
-//! configured cap it is rotated once — renamed to `<file>.1`,
+//! operator names with `--log`. When the file would grow past
+//! [`CAP_BYTES`] it is rotated once — renamed to `<file>.1`,
 //! clobbering the previous `.1` — so a forgotten daemon consumes at
 //! most ~2× the cap of disk, and the newest events are always in the
 //! un-suffixed file. Lines are written whole under a lock, so
@@ -19,8 +19,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Default rotation threshold (4 MiB) when the operator gives none.
-pub const DEFAULT_CAP_BYTES: u64 = 4 * 1024 * 1024;
+/// Rotation threshold: 4 MiB.
+pub const CAP_BYTES: u64 = 4 * 1024 * 1024;
 
 #[derive(Debug)]
 struct Sink {
@@ -48,18 +48,16 @@ fn open_append(path: &Path) -> Result<(File, u64), String> {
 
 impl EventLog {
     /// Opens (or creates) the log at `path`, appending to existing
-    /// content. `cap_bytes` is the rotation threshold; 0 means
-    /// [`DEFAULT_CAP_BYTES`].
-    pub fn open(path: impl Into<PathBuf>, cap_bytes: u64) -> Result<EventLog, String> {
-        let path = path.into();
+    /// content, with the [`CAP_BYTES`] rotation threshold.
+    pub fn open(path: impl Into<PathBuf>) -> Result<EventLog, String> {
+        EventLog::with_cap(path.into(), CAP_BYTES)
+    }
+
+    fn with_cap(path: PathBuf, cap_bytes: u64) -> Result<EventLog, String> {
         let (file, written) = open_append(&path)?;
         Ok(EventLog {
             path,
-            cap_bytes: if cap_bytes == 0 {
-                DEFAULT_CAP_BYTES
-            } else {
-                cap_bytes
-            },
+            cap_bytes,
             sink: Mutex::new(Sink { file, written }),
         })
     }
@@ -129,7 +127,7 @@ mod tests {
     fn appends_parseable_jsonl_lines() {
         let path = temp_path("append");
         let _ = std::fs::remove_file(&path);
-        let log = EventLog::open(&path, 0).unwrap();
+        let log = EventLog::open(&path).unwrap();
         log.append(event(&[("kind", "request"), ("op", "query")]))
             .unwrap();
         log.append(event(&[("kind", "request"), ("op", "stats")]))
@@ -151,7 +149,7 @@ mod tests {
         let rotated = path.with_extension("jsonl.1");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&rotated);
-        let log = EventLog::open(&path, 512).unwrap();
+        let log = EventLog::with_cap(path.clone(), 512).unwrap();
         for i in 0..64 {
             log.append(event(&[("kind", "request"), ("i", &i.to_string()[..])]))
                 .unwrap();
@@ -172,10 +170,10 @@ mod tests {
         let path = temp_path("reopen");
         let _ = std::fs::remove_file(&path);
         {
-            let log = EventLog::open(&path, 0).unwrap();
+            let log = EventLog::open(&path).unwrap();
             log.append(event(&[("kind", "first")])).unwrap();
         }
-        let log = EventLog::open(&path, 0).unwrap();
+        let log = EventLog::open(&path).unwrap();
         log.append(event(&[("kind", "second")])).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 2, "{body}");

@@ -1,56 +1,49 @@
-//! A bounded, per-client-fair request queue feeding the batch
+//! The bounded FIFO between connection threads and the batch
 //! scheduler.
 //!
-//! Each client (connection) gets its own lane; the scheduler drains
-//! batches round-robin across lanes, one item per lane per turn, so a
-//! client flooding the daemon cannot starve a client with one pending
-//! query — its request rides in the very next batch. The total queued
-//! item count is capped; pushes beyond the cap fail immediately so the
-//! connection thread can answer `busy` (backpressure) instead of
-//! buffering unboundedly.
+//! A connection thread pushes one cold query, blocks until the
+//! scheduler answers it, and only then reads its client's next line.
+//! So no client ever has two jobs queued, and arrival order is already
+//! fair: a busy client cannot get ahead of another client's one ask.
+//! The total item count is capped; a push beyond the cap, or after
+//! [`Queue::close`], is refused at once so the connection thread can
+//! answer `busy` instead of buffering without bound.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
-/// Push failure: the queue is at capacity.
+/// Only a panic under the lock poisons it, and nothing under it panics.
+const POISONED: &str = "xpd queue lock poisoned";
+
+/// Why a push was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueFull {
-    /// The configured capacity that was hit.
-    pub cap: usize,
-}
-
-#[derive(Debug)]
-struct Lane<T> {
-    client: u64,
-    items: VecDeque<T>,
+pub enum Refused {
+    /// The queue already holds [`Queue::cap`] items.
+    Full,
+    /// The queue is closed: the daemon is shutting down.
+    Closed,
 }
 
 #[derive(Debug)]
 struct State<T> {
-    lanes: Vec<Lane<T>>,
-    /// Round-robin cursor: index of the lane the next drain starts at.
-    cursor: usize,
-    len: usize,
+    items: VecDeque<T>,
     closed: bool,
 }
 
-/// A bounded multi-lane queue with round-robin draining.
+/// A bounded multi-producer FIFO drained in batches.
 #[derive(Debug)]
-pub struct FairQueue<T> {
+pub struct Queue<T> {
     state: Mutex<State<T>>,
     available: Condvar,
     cap: usize,
 }
 
-impl<T> FairQueue<T> {
-    /// A queue holding at most `cap` items across all clients.
+impl<T> Queue<T> {
+    /// A queue holding at most `cap` items (at least one).
     pub fn new(cap: usize) -> Self {
-        FairQueue {
+        Queue {
             state: Mutex::new(State {
-                lanes: Vec::new(),
-                cursor: 0,
-                len: 0,
+                items: VecDeque::new(),
                 closed: false,
             }),
             available: Condvar::new(),
@@ -58,129 +51,53 @@ impl<T> FairQueue<T> {
         }
     }
 
-    /// Enqueues `item` on `client`'s lane. Returns the total queue
-    /// depth after the push, or [`QueueFull`] at capacity (the item is
-    /// returned to the caller untouched in that case, by value drop).
-    pub fn push(&self, client: u64, item: T) -> Result<usize, QueueFull> {
-        let mut state = self.state.lock().unwrap();
-        if state.len >= self.cap {
-            return Err(QueueFull { cap: self.cap });
+    /// The most items the queue holds.
+    pub fn cap(&self) -> usize {
+        self.cap
+    }
+
+    /// Appends `item` and returns the depth after the push. A refused
+    /// item is dropped.
+    pub fn push(&self, item: T) -> Result<usize, Refused> {
+        let mut state = self.state.lock().expect(POISONED);
+        if state.closed {
+            return Err(Refused::Closed);
         }
-        match state.lanes.iter_mut().find(|l| l.client == client) {
-            Some(lane) => lane.items.push_back(item),
-            None => state.lanes.push(Lane {
-                client,
-                items: VecDeque::from([item]),
-            }),
+        if state.items.len() >= self.cap {
+            return Err(Refused::Full);
         }
-        state.len += 1;
-        let depth = state.len;
+        state.items.push_back(item);
+        let depth = state.items.len();
         drop(state);
         self.available.notify_one();
         Ok(depth)
     }
 
-    /// Current total depth.
+    /// Current depth.
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().len
+        self.state.lock().expect(POISONED).items.len()
     }
 
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Blocks until at least one item is queued, lingers up to `window`
-    /// for more to accumulate (request batching), then drains up to
-    /// `max` items round-robin across client lanes — one item per lane
-    /// per turn. Returns `None` once the queue is closed *and* drained.
-    pub fn pop_batch(&self, max: usize, window: Duration) -> Option<Vec<T>> {
-        self.pop_batch_timed(max, window).map(|(batch, _)| batch)
-    }
-
-    /// [`pop_batch`](Self::pop_batch), plus how long the call lingered
-    /// for batch-mates after the first item was available — the
-    /// `batch_linger` phase of every job in the returned batch.
-    pub fn pop_batch_timed(&self, max: usize, window: Duration) -> Option<(Vec<T>, Duration)> {
-        let max = max.max(1);
-        let mut state = self.state.lock().unwrap();
-        // Wait for the first item (or close).
-        while state.len == 0 {
+    /// Blocks until an item is queued, then takes up to `max` items in
+    /// arrival order. Returns `None` once the queue is closed *and*
+    /// drained.
+    pub fn pop_batch(&self, max: usize) -> Option<Vec<T>> {
+        let mut state = self.state.lock().expect(POISONED);
+        while state.items.is_empty() {
             if state.closed {
                 return None;
             }
-            state = self.available.wait(state).unwrap();
+            state = self.available.wait(state).expect(POISONED);
         }
-        // Linger for the batch window or until the batch is full.
-        let linger_start = Instant::now();
-        let deadline = linger_start + window;
-        while state.len < max && !state.closed {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (next, timeout) = self.available.wait_timeout(state, deadline - now).unwrap();
-            state = next;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-        let linger = linger_start.elapsed();
-        // Drain round-robin, one item per lane per turn.
-        let mut batch = Vec::with_capacity(max.min(state.len));
-        while batch.len() < max && state.len > 0 {
-            if state.lanes.is_empty() {
-                break;
-            }
-            let i = state.cursor % state.lanes.len();
-            let lane = &mut state.lanes[i];
-            if let Some(item) = lane.items.pop_front() {
-                batch.push(item);
-                state.len -= 1;
-            }
-            if state.lanes[i].items.is_empty() {
-                state.lanes.remove(i);
-                // Cursor now points at the lane after the removed one.
-                if !state.lanes.is_empty() {
-                    state.cursor %= state.lanes.len();
-                }
-            } else {
-                state.cursor = (i + 1) % state.lanes.len();
-            }
-        }
-        Some((batch, linger))
+        let n = max.max(1).min(state.items.len());
+        Some(state.items.drain(..n).collect())
     }
 
-    /// Removes `client`'s lane entirely and returns its queued items
-    /// (the caller resolves their slots as failed). Used when a
-    /// connection dies with work still queued: a dead client must not
-    /// hold queue capacity, occupy a round-robin turn, or leave its
-    /// waiters hanging. The cursor is adjusted so surviving lanes keep
-    /// their drain order — removing a lane never skips another client's
-    /// turn.
-    pub fn drop_client(&self, client: u64) -> Vec<T> {
-        let mut state = self.state.lock().unwrap();
-        let Some(i) = state.lanes.iter().position(|l| l.client == client) else {
-            return Vec::new();
-        };
-        let lane = state.lanes.remove(i);
-        state.len -= lane.items.len();
-        if i < state.cursor {
-            state.cursor -= 1;
-        }
-        if !state.lanes.is_empty() {
-            state.cursor %= state.lanes.len();
-        } else {
-            state.cursor = 0;
-        }
-        lane.items.into_iter().collect()
-    }
-
-    /// Closes the queue: pending items still drain, new pushes still
-    /// succeed (races at shutdown resolve to a served answer, not a
-    /// hang), but `pop_batch` returns `None` once empty.
+    /// Closes the queue: queued items still drain, new pushes are
+    /// refused, and `pop_batch` returns `None` once empty. Push and
+    /// close share one lock, so every accepted item is popped.
     pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
+        self.state.lock().expect(POISONED).closed = true;
         self.available.notify_all();
     }
 }
@@ -189,134 +106,64 @@ impl<T> FairQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    const NOW: Duration = Duration::ZERO;
+    use std::time::Duration;
 
     #[test]
-    fn drains_round_robin_across_clients() {
-        let q: FairQueue<&str> = FairQueue::new(16);
-        for item in ["a1", "a2", "a3", "a4"] {
-            q.push(1, item).unwrap();
+    fn drains_in_arrival_order_up_to_max() {
+        let q: Queue<&str> = Queue::new(16);
+        for item in ["a1", "b1", "a2", "c1", "a3"] {
+            q.push(item).unwrap();
         }
-        q.push(2, "b1").unwrap();
-        q.push(3, "c1").unwrap();
-        // One item per lane per turn: the flood on client 1 cannot
-        // push b1/c1 out of the first batch.
-        let batch = q.pop_batch(4, NOW).unwrap();
-        assert_eq!(batch, vec!["a1", "b1", "c1", "a2"]);
-        let batch = q.pop_batch(4, NOW).unwrap();
-        assert_eq!(batch, vec!["a3", "a4"]);
-        assert!(q.is_empty());
+        assert_eq!(q.pop_batch(3).unwrap(), vec!["a1", "b1", "a2"]);
+        assert_eq!(q.pop_batch(3).unwrap(), vec!["c1", "a3"]);
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
-    fn capacity_rejects_with_queue_full() {
-        let q: FairQueue<u32> = FairQueue::new(2);
-        assert_eq!(q.push(1, 10), Ok(1));
-        assert_eq!(q.push(2, 20), Ok(2));
-        assert_eq!(q.push(1, 30), Err(QueueFull { cap: 2 }));
-        let batch = q.pop_batch(8, NOW).unwrap();
+    fn capacity_rejects_with_full() {
+        let q: Queue<u32> = Queue::new(2);
+        assert_eq!(q.cap(), 2);
+        assert_eq!(q.push(10), Ok(1));
+        assert_eq!(q.push(20), Ok(2));
+        assert_eq!(q.push(30), Err(Refused::Full));
+        let batch = q.pop_batch(8).unwrap();
         assert_eq!(batch.len(), 2);
-        assert_eq!(q.push(1, 30), Ok(1), "draining frees capacity");
+        assert_eq!(q.push(30), Ok(1), "draining frees capacity");
     }
 
     #[test]
     fn close_drains_then_ends() {
-        let q: FairQueue<u32> = FairQueue::new(8);
-        q.push(1, 1).unwrap();
+        let q: Queue<u32> = Queue::new(8);
+        q.push(1).unwrap();
         q.close();
-        assert_eq!(q.pop_batch(8, NOW), Some(vec![1]));
-        assert_eq!(q.pop_batch(8, NOW), None);
+        assert_eq!(q.pop_batch(8), Some(vec![1]));
+        assert_eq!(q.pop_batch(8), None);
+    }
+
+    #[test]
+    fn a_push_after_close_is_refused() {
+        // Were it accepted, a push landing after the scheduler's last
+        // pop would leave its waiter hanging forever.
+        let q: Queue<u32> = Queue::new(8);
+        q.close();
+        assert_eq!(q.push(1), Err(Refused::Closed));
+        assert_eq!(q.len(), 0);
+        assert_eq!(q.pop_batch(8), None);
     }
 
     #[test]
     fn blocked_pop_wakes_on_close_and_on_push() {
-        let q: Arc<FairQueue<u32>> = Arc::new(FairQueue::new(8));
+        let q: Arc<Queue<u32>> = Arc::new(Queue::new(8));
         let q2 = Arc::clone(&q);
-        let popper = std::thread::spawn(move || q2.pop_batch(4, Duration::from_millis(50)));
+        let popper = std::thread::spawn(move || q2.pop_batch(4));
         std::thread::sleep(Duration::from_millis(20));
-        q.push(7, 42).unwrap();
+        q.push(42).unwrap();
         assert_eq!(popper.join().unwrap(), Some(vec![42]));
 
         let q2 = Arc::clone(&q);
-        let popper = std::thread::spawn(move || q2.pop_batch(4, Duration::ZERO));
+        let popper = std::thread::spawn(move || q2.pop_batch(4));
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(popper.join().unwrap(), None);
-    }
-
-    #[test]
-    fn drop_client_returns_items_and_frees_capacity() {
-        let q: FairQueue<&str> = FairQueue::new(3);
-        q.push(1, "a1").unwrap();
-        q.push(1, "a2").unwrap();
-        q.push(2, "b1").unwrap();
-        assert_eq!(q.push(2, "b2"), Err(QueueFull { cap: 3 }));
-        // The dead client's items come back (so their slots can be
-        // failed) and its capacity is released immediately.
-        assert_eq!(q.drop_client(1), vec!["a1", "a2"]);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.push(2, "b2"), Ok(2), "dead client freed its slots");
-        assert_eq!(q.pop_batch(8, NOW).unwrap(), vec!["b1", "b2"]);
-    }
-
-    #[test]
-    fn drop_client_does_not_starve_or_skew_survivors() {
-        let q: FairQueue<&str> = FairQueue::new(16);
-        for (client, item) in [
-            (1, "a1"),
-            (2, "b1"),
-            (3, "c1"),
-            (1, "a2"),
-            (2, "b2"),
-            (3, "c2"),
-        ] {
-            q.push(client, item).unwrap();
-        }
-        // Advance the cursor past lane 1 so the drop happens below it.
-        assert_eq!(q.pop_batch(2, NOW).unwrap(), vec!["a1", "b1"]);
-        assert_eq!(q.drop_client(1), vec!["a2"]);
-        // Rotation resumes exactly where it left off: client 3 (whose
-        // turn it was) is not skipped, and clients 2/3 alternate.
-        assert_eq!(q.pop_batch(4, NOW).unwrap(), vec!["c1", "b2", "c2"]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn drop_unknown_client_is_a_noop() {
-        let q: FairQueue<u32> = FairQueue::new(4);
-        q.push(1, 10).unwrap();
-        assert_eq!(q.drop_client(99), Vec::<u32>::new());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_batch(4, NOW), Some(vec![10]));
-    }
-
-    #[test]
-    fn window_accumulates_late_arrivals() {
-        let q: Arc<FairQueue<u32>> = Arc::new(FairQueue::new(8));
-        q.push(1, 1).unwrap();
-        let q2 = Arc::clone(&q);
-        let pusher = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            q2.push(2, 2).unwrap();
-        });
-        let batch = q.pop_batch(8, Duration::from_millis(400)).unwrap();
-        pusher.join().unwrap();
-        assert_eq!(batch.len(), 2, "late arrival joined the batch: {batch:?}");
-    }
-
-    #[test]
-    fn timed_pop_reports_the_linger_spent_waiting_for_batch_mates() {
-        let q: FairQueue<u32> = FairQueue::new(8);
-        q.push(1, 1).unwrap();
-        // A full batch returns immediately: no measurable linger.
-        let (batch, linger) = q.pop_batch_timed(1, Duration::from_millis(400)).unwrap();
-        assert_eq!(batch, vec![1]);
-        assert!(linger < Duration::from_millis(100), "linger {linger:?}");
-        // An underfull batch waits out the window, and says so.
-        q.push(1, 2).unwrap();
-        let (batch, linger) = q.pop_batch_timed(4, Duration::from_millis(40)).unwrap();
-        assert_eq!(batch, vec![2]);
-        assert!(linger >= Duration::from_millis(40), "linger {linger:?}");
     }
 }

@@ -10,9 +10,9 @@
 //! digest via engine
 //! inflight.get_or_compute ─┐
 //!   leader: store.get ──hit┼─► respond (source=store)
-//!           miss: enqueue ─┼─► pop_batch (fair, batched)
-//!           wait on slot   │   engine.evaluate(batch)
-//!   joiner: wait on flight │   store.put + resolve slots
+//!           miss: enqueue ─┼─► pop_batch (FIFO, up to 8)
+//!           recv answer    │   engine.evaluate(batch)
+//!   joiner: wait on flight │   store.put + send answers
 //! respond, leader removes  │
 //! the in-flight entry      │
 //! ```
@@ -28,7 +28,7 @@ use crate::chaos::{
 use crate::flightrec::{self, FlightRecorder};
 use crate::log::EventLog;
 use crate::metrics::{self, Gauges};
-use crate::queue::{FairQueue, QueueFull};
+use crate::queue::{Queue, Refused};
 use crate::store::{Durability, ResultStore, StoreEvent};
 use crate::QueryEngine;
 use common::json::Json;
@@ -39,8 +39,9 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use trace::live::{LiveHistogram, ScopedCounter};
 
@@ -51,6 +52,17 @@ const POLL: Duration = Duration::from_millis(100);
 /// line that reaches it without a newline gets one `error` response and
 /// the connection closes, so no client can grow a buffer without limit.
 const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Most connections served at once. Above it a new connection gets one
+/// `busy` line and is closed, with no thread spawned. A connection
+/// holds at most one queued job, so the cap equals the default
+/// `--queue-cap`; a lower one would leave that queue unreachable.
+const MAX_CONNECTIONS: usize = 256;
+
+/// Most cold queries one engine call evaluates. `evaluate` answers a
+/// whole batch at once, so the bound caps how many batch-mates the
+/// first job of a batch waits on.
+const BATCH_MAX: usize = 8;
 
 /// Where and how a [`Server`] listens and stores results.
 #[derive(Debug, Clone)]
@@ -66,11 +78,6 @@ pub struct ServerConfig {
     pub store_cap_bytes: u64,
     /// Maximum queued cold requests before clients get `busy`.
     pub queue_cap: usize,
-    /// Maximum cold requests evaluated per engine batch.
-    pub batch_max: usize,
-    /// How long the scheduler lingers for more requests to join a
-    /// batch once the first arrives.
-    pub batch_window: Duration,
     /// How hard store writes push toward the disk
     /// ([`Durability::Flush`] by default).
     pub durability: Durability,
@@ -86,11 +93,8 @@ pub struct ServerConfig {
     pub slow_ms: Option<u64>,
     /// When set, every request is appended as one JSONL record to this
     /// file (`xp serve --log FILE`), rotated once at
-    /// [`log_cap_bytes`](Self::log_cap_bytes).
+    /// [`crate::log::CAP_BYTES`].
     pub log_file: Option<PathBuf>,
-    /// Rotation threshold for [`log_file`](Self::log_file); 0 means
-    /// [`crate::log::DEFAULT_CAP_BYTES`].
-    pub log_cap_bytes: u64,
 }
 
 impl ServerConfig {
@@ -103,13 +107,10 @@ impl ServerConfig {
             store_dir: store_dir.into(),
             store_cap_bytes: 256 * 1024 * 1024,
             queue_cap: 256,
-            batch_max: 8,
-            batch_window: Duration::from_millis(20),
             durability: Durability::default(),
             chaos_seed: None,
             slow_ms: None,
             log_file: None,
-            log_cap_bytes: 0,
         }
     }
 }
@@ -120,10 +121,8 @@ impl ServerConfig {
 /// *leader's* phases — the work that actually produced the bytes.
 #[derive(Debug, Clone, Copy, Default)]
 struct PhaseNanos {
-    /// Queued before the scheduler began assembling the answering batch.
+    /// Queued until the scheduler took the answering batch.
     queue_wait: u64,
-    /// The batch window spent waiting for batch-mates.
-    batch_linger: u64,
     /// Engine evaluation wall time of the whole batch (the requester
     /// waits for all of it, so that is the honest per-request number).
     eval: u64,
@@ -148,46 +147,15 @@ struct Job {
     id: u64,
     digest: String,
     request: QueryRequest,
-    slot: Arc<Slot>,
+    /// Where the scheduler sends the answer; the leader waits on the
+    /// other end.
+    answer: mpsc::Sender<Answer>,
     /// When the requester stops caring. The scheduler answers expired
     /// jobs `timeout` instead of spending engine time on them.
     deadline: Option<Instant>,
     /// When the job entered the queue — the start of its `queue_wait`
     /// phase.
     enqueued_at: Instant,
-}
-
-/// A one-shot rendezvous between a waiting connection thread and the
-/// scheduler.
-struct Slot {
-    answer: Mutex<Option<Answer>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            answer: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn set(&self, answer: Answer) {
-        let mut slot = self.answer.lock().unwrap();
-        *slot = Some(answer);
-        drop(slot);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Answer {
-        let mut slot = self.answer.lock().unwrap();
-        loop {
-            if let Some(answer) = slot.as_ref() {
-                return answer.clone();
-            }
-            slot = self.ready.wait(slot).unwrap();
-        }
-    }
 }
 
 /// The daemon's counters, as instance-scoped views over the always-on
@@ -238,7 +206,6 @@ struct Latency {
     metrics: LiveHistogram,
     shutdown: LiveHistogram,
     queue_wait: LiveHistogram,
-    batch_linger: LiveHistogram,
     eval: LiveHistogram,
     store_write: LiveHistogram,
 }
@@ -252,7 +219,6 @@ impl Latency {
             metrics: trace::live::histogram("xpd.request_duration.metrics"),
             shutdown: trace::live::histogram("xpd.request_duration.shutdown"),
             queue_wait: trace::live::histogram("xpd.phase.queue_wait"),
-            batch_linger: trace::live::histogram("xpd.phase.batch_linger"),
             eval: trace::live::histogram("xpd.phase.eval"),
             store_write: trace::live::histogram("xpd.phase.store_write"),
         }
@@ -274,13 +240,14 @@ impl Latency {
 struct Shared {
     engine: Arc<dyn QueryEngine>,
     store: ResultStore,
-    queue: FairQueue<Job>,
-    queue_cap: usize,
+    queue: Queue<Job>,
     inflight: Cache<String, Answer>,
     counters: Counters,
     latency: Latency,
     stop: AtomicBool,
     next_client: AtomicU64,
+    /// Connections currently served, at most [`MAX_CONNECTIONS`].
+    connections: AtomicUsize,
     /// Request IDs, minted when a request line parses.
     next_request: AtomicU64,
     /// Queries currently being answered (between parse and respond) —
@@ -305,8 +272,6 @@ pub struct Server {
     unix: Option<(UnixListener, PathBuf)>,
     tcp: Option<TcpListener>,
     tcp_addr: Option<SocketAddr>,
-    batch_max: usize,
-    batch_window: Duration,
 }
 
 impl Server {
@@ -361,11 +326,11 @@ impl Server {
             });
         }
         let slow_log = match config.slow_ms {
-            Some(_) => Some(EventLog::open(config.store_dir.join("slow.jsonl"), 0)?),
+            Some(_) => Some(EventLog::open(config.store_dir.join("slow.jsonl"))?),
             None => None,
         };
         let event_log = match &config.log_file {
-            Some(path) => Some(EventLog::open(path, config.log_cap_bytes)?),
+            Some(path) => Some(EventLog::open(path)?),
             None => None,
         };
 
@@ -412,13 +377,13 @@ impl Server {
             shared: Arc::new(Shared {
                 engine,
                 store,
-                queue: FairQueue::new(config.queue_cap),
-                queue_cap: config.queue_cap.max(1),
+                queue: Queue::new(config.queue_cap),
                 inflight: Cache::new(),
                 counters: Counters::new(),
                 latency: Latency::new(),
                 stop: AtomicBool::new(false),
                 next_client: AtomicU64::new(1),
+                connections: AtomicUsize::new(0),
                 next_request: AtomicU64::new(1),
                 active: AtomicU64::new(0),
                 chaos,
@@ -435,8 +400,6 @@ impl Server {
             unix,
             tcp,
             tcp_addr,
-            batch_max: config.batch_max,
-            batch_window: config.batch_window,
         })
     }
 
@@ -484,10 +447,9 @@ impl Server {
         };
         let scheduler = {
             let shared = Arc::clone(&self.shared);
-            let (max, window) = (self.batch_max, self.batch_window);
             std::thread::Builder::new()
                 .name("xpd-sched".to_string())
-                .spawn(move || scheduler_loop(&shared, max, window))
+                .spawn(move || scheduler_loop(&shared))
                 .map_err(|e| format!("xpd: cannot spawn scheduler: {e}"))?
         };
 
@@ -495,30 +457,29 @@ impl Server {
         let mut socket_path = None;
         if let Some((listener, path)) = self.unix {
             socket_path = Some(path);
-            let shared = Arc::clone(&self.shared);
-            accepts.push(
-                std::thread::Builder::new()
-                    .name("xpd-accept-unix".to_string())
-                    .spawn(move || accept_loop_unix(&shared, &listener))
-                    .map_err(|e| format!("xpd: cannot spawn acceptor: {e}"))?,
-            );
+            accepts.push(spawn_acceptor(&self.shared, "unix", move || {
+                let (stream, _) = listener.accept()?;
+                stream.set_nonblocking(false)?;
+                stream.set_read_timeout(Some(POLL))?;
+                Ok(stream)
+            })?);
         }
         if let Some(listener) = self.tcp {
-            let shared = Arc::clone(&self.shared);
-            accepts.push(
-                std::thread::Builder::new()
-                    .name("xpd-accept-tcp".to_string())
-                    .spawn(move || accept_loop_tcp(&shared, &listener))
-                    .map_err(|e| format!("xpd: cannot spawn acceptor: {e}"))?,
-            );
+            accepts.push(spawn_acceptor(&self.shared, "tcp", move || {
+                let (stream, _) = listener.accept()?;
+                stream.set_nonblocking(false)?;
+                stream.set_read_timeout(Some(POLL))?;
+                Ok(stream)
+            })?);
         }
 
         for handle in accepts {
             let _ = handle.join();
         }
         // No new work can arrive; let queued jobs drain, then stop the
-        // scheduler. Connection threads still waiting on slots get
-        // their answers and exit on their next read poll.
+        // scheduler. A push after the close is refused, so every
+        // waiting connection thread gets an answer and exits on its
+        // next read poll.
         self.shared.queue.close();
         let _ = scheduler.join();
         let _ = ticker.join();
@@ -548,44 +509,32 @@ impl StopHandle {
     }
 }
 
-fn accept_loop_unix(shared: &Arc<Shared>, listener: &UnixListener) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(POLL));
-                let delay = accept_delay(shared);
-                spawn_conn(shared, move |shared, client| {
-                    if let Some(d) = delay {
-                        std::thread::sleep(d);
-                    }
-                    serve_conn(shared, client, &stream)
-                });
+/// Starts the `xpd-accept-{kind}` thread, which serves each stream
+/// `accept` yields until shutdown. `accept` returns the stream set to
+/// blocking reads with a [`POLL`] timeout, or an error — `WouldBlock`
+/// when no connection is pending — after which the loop sleeps one
+/// [`POLL`].
+fn spawn_acceptor<S>(
+    shared: &Arc<Shared>,
+    kind: &str,
+    accept: impl Fn() -> std::io::Result<S> + Send + 'static,
+) -> Result<JoinHandle<()>, String>
+where
+    S: Send + 'static,
+    for<'a> &'a S: Read + Write,
+{
+    let shared = Arc::clone(shared);
+    std::thread::Builder::new()
+        .name(format!("xpd-accept-{kind}"))
+        .spawn(move || {
+            while !shared.stop.load(Ordering::SeqCst) {
+                match accept() {
+                    Ok(stream) => spawn_conn(&shared, stream),
+                    Err(_) => std::thread::sleep(POLL),
+                }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-}
-
-fn accept_loop_tcp(shared: &Arc<Shared>, listener: &TcpListener) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(POLL));
-                let delay = accept_delay(shared);
-                spawn_conn(shared, move |shared, client| {
-                    if let Some(d) = delay {
-                        std::thread::sleep(d);
-                    }
-                    serve_conn(shared, client, &stream)
-                });
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
+        })
+        .map_err(|e| format!("xpd: cannot spawn acceptor: {e}"))
 }
 
 /// The chaos-injected delay (if any) before a freshly accepted
@@ -598,12 +547,42 @@ fn accept_delay(shared: &Arc<Shared>) -> Option<Duration> {
     }
 }
 
-fn spawn_conn(shared: &Arc<Shared>, serve: impl FnOnce(&Arc<Shared>, u64) + Send + 'static) {
+/// A live connection, counted toward [`MAX_CONNECTIONS`] until its
+/// thread ends, even by a panic.
+struct LiveConn(Arc<Shared>);
+
+impl Drop for LiveConn {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Serves `stream` on its own thread. At [`MAX_CONNECTIONS`] the accept
+/// thread instead writes one `busy` line and closes the connection.
+fn spawn_conn<S>(shared: &Arc<Shared>, stream: S)
+where
+    S: Send + 'static,
+    for<'a> &'a S: Read + Write,
+{
+    if shared.connections.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
+        shared.connections.fetch_sub(1, Ordering::SeqCst);
+        let message = format!("too many connections ({MAX_CONNECTIONS} open); retry later");
+        shared.flight.record("conn", message.clone());
+        let body = QueryResponse::busy(message).to_json().render_jsonl_line();
+        let _ = (&stream).write_all(body.as_bytes());
+        return;
+    }
+    let live = LiveConn(Arc::clone(shared));
+    let delay = accept_delay(shared);
     let client = shared.next_client.fetch_add(1, Ordering::SeqCst);
-    let shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new()
         .name(format!("xpd-conn-{client}"))
-        .spawn(move || serve(&shared, client));
+        .spawn(move || {
+            if let Some(d) = delay {
+                std::thread::sleep(d);
+            }
+            serve_conn(&live.0, client, &stream);
+        });
     if let Err(e) = spawned {
         eprintln!("xpd: cannot spawn connection thread: {e}");
     }
@@ -724,17 +703,6 @@ where
             Err(_) => break,
         }
     }
-    // The connection is gone. In the lockstep request/response protocol
-    // a client with queued work is still parked in `answer_cold`, so
-    // this is usually a no-op — but if work for this client is ever
-    // left in the queue (future pipelined clients, torn requests), it
-    // must not hold capacity or a rotation turn. Resolve its slots so
-    // no waiter hangs.
-    for job in shared.queue.drop_client(client) {
-        job.slot.set(Answer::Failed(
-            "client disconnected before evaluation".to_string(),
-        ));
-    }
 }
 
 fn handle_line(shared: &Arc<Shared>, client: u64, text: &str) -> QueryResponse {
@@ -781,7 +749,7 @@ fn handle_line(shared: &Arc<Shared>, client: u64, text: &str) -> QueryResponse {
         }
         RequestOp::Query => {
             shared.active.fetch_add(1, Ordering::SeqCst);
-            let answered = handle_query(shared, client, id, &request);
+            let answered = handle_query(shared, id, &request);
             shared.active.fetch_sub(1, Ordering::SeqCst);
             answered
         }
@@ -854,7 +822,6 @@ fn timing_json(total_ms: f64, phases: PhaseNanos) -> Json {
     let mut o = Json::object();
     o.insert("total_ms", total_ms);
     o.insert("queue_wait_ms", ms(phases.queue_wait));
-    o.insert("batch_linger_ms", ms(phases.batch_linger));
     o.insert("eval_ms", ms(phases.eval));
     o.insert("store_write_ms", ms(phases.store_write));
     o
@@ -875,7 +842,7 @@ fn gauges(shared: &Arc<Shared>) -> Gauges {
     let store = shared.store.stats();
     Gauges {
         queue_depth: shared.queue.len() as u64,
-        queue_cap: shared.queue_cap as u64,
+        queue_cap: shared.queue.cap() as u64,
         inflight: shared.active.load(Ordering::SeqCst),
         store_entries: store.entries as u64,
         store_bytes: store.bytes,
@@ -905,7 +872,6 @@ fn http_get(shared: &Arc<Shared>, path: &str) -> (&'static str, &'static str, St
 
 fn handle_query(
     shared: &Arc<Shared>,
-    client: u64,
     id: u64,
     request: &QueryRequest,
 ) -> (QueryResponse, PhaseNanos) {
@@ -927,7 +893,7 @@ fn handle_query(
     let mut led = false;
     let outcome = shared.inflight.get_or_compute(&digest, || {
         led = true;
-        answer_cold(shared, client, id, &digest, request, deadline)
+        answer_cold(shared, id, &digest, request, deadline)
     });
     if led {
         // Answered: drop the memory copy so the disk store's LRU cap
@@ -953,7 +919,6 @@ fn handle_query(
 /// enqueue for the scheduler and wait.
 fn answer_cold(
     shared: &Arc<Shared>,
-    client: u64,
     id: u64,
     digest: &str,
     request: &QueryRequest,
@@ -972,16 +937,16 @@ fn answer_cold(
             return timed_out(shared, request);
         }
     }
-    let slot = Arc::new(Slot::new());
+    let (answer, answered) = mpsc::channel();
     let job = Job {
         id,
         digest: digest.to_string(),
         request: request.clone(),
-        slot: Arc::clone(&slot),
+        answer,
         deadline,
         enqueued_at: Instant::now(),
     };
-    match shared.queue.push(client, job) {
+    match shared.queue.push(job) {
         Ok(depth) => {
             shared.counters.enqueued.add(1);
             // Peak-depth as a monotone counter: `raise_to` emits only
@@ -989,12 +954,18 @@ fn answer_cold(
             // registry, so the counter's final value in a trace summary
             // *is* the peak depth.
             shared.counters.peak_depth.raise_to(depth as u64);
-            slot.wait()
+            answered.recv().unwrap_or_else(|_| {
+                Answer::Failed("query was dropped before it was answered".to_string())
+            })
         }
-        Err(QueueFull { cap }) => {
+        Err(Refused::Full) => {
             shared.counters.rejected.add(1);
-            Answer::Busy(format!("request queue full ({cap} pending); retry later"))
+            Answer::Busy(format!(
+                "request queue full ({} pending); retry later",
+                shared.queue.cap()
+            ))
         }
+        Err(Refused::Closed) => Answer::Busy("daemon is shutting down".to_string()),
     }
 }
 
@@ -1007,9 +978,12 @@ fn timed_out(shared: &Arc<Shared>, request: &QueryRequest) -> Answer {
     ))
 }
 
-/// Drains batches until the queue closes: evaluate, persist, resolve.
-fn scheduler_loop(shared: &Arc<Shared>, batch_max: usize, batch_window: Duration) {
-    while let Some((batch, linger)) = shared.queue.pop_batch_timed(batch_max, batch_window) {
+/// Takes batches until the queue closes: evaluate, persist, answer. A
+/// batch is whatever is queued when the scheduler is free, up to
+/// [`BATCH_MAX`]: queries that arrive while the engine is busy form the
+/// next batch, and an idle daemon starts on a lone query at once.
+fn scheduler_loop(shared: &Arc<Shared>) {
+    while let Some(batch) = shared.queue.pop_batch(BATCH_MAX) {
         // Requests whose deadline expired while queued are answered
         // `timeout` here, *before* engine time is spent on them —
         // graceful degradation under overload: the backlog sheds
@@ -1019,8 +993,7 @@ fn scheduler_loop(shared: &Arc<Shared>, batch_max: usize, batch_window: Duration
             .into_iter()
             .partition(|job| job.deadline.is_none_or(|d| now < d));
         for job in expired {
-            let answer = timed_out(shared, &job.request);
-            job.slot.set(answer);
+            let _ = job.answer.send(timed_out(shared, &job.request));
         }
         if batch.is_empty() {
             continue;
@@ -1029,21 +1002,11 @@ fn scheduler_loop(shared: &Arc<Shared>, batch_max: usize, batch_window: Duration
         shared.counters.batch_points.add(batch.len() as u64);
         let _span = trace::span("xpd.batch");
 
-        // Phase attribution: a job's total queued time splits into the
-        // wait before the scheduler began assembling this batch and the
-        // shared linger for batch-mates.
-        let linger_nanos = linger.as_nanos() as u64;
-        let waits: Vec<u64> = batch
-            .iter()
-            .map(|job| {
-                let queued = now.duration_since(job.enqueued_at).as_nanos() as u64;
-                queued.saturating_sub(linger_nanos)
-            })
-            .collect();
-        for wait in &waits {
-            shared.latency.queue_wait.record_nanos(*wait);
+        // A job's queue wait runs from its push until its batch was taken.
+        let queue_wait = |job: &Job| now.duration_since(job.enqueued_at).as_nanos() as u64;
+        for job in &batch {
+            shared.latency.queue_wait.record_nanos(queue_wait(job));
         }
-        shared.latency.batch_linger.record_nanos(linger_nanos);
 
         let requests: Vec<QueryRequest> = batch.iter().map(|j| j.request.clone()).collect();
         let eval_begun = Instant::now();
@@ -1069,7 +1032,7 @@ fn scheduler_loop(shared: &Arc<Shared>, batch_max: usize, batch_window: Duration
                             batch.len()
                         ))
                     });
-                    match result {
+                    let answer = match result {
                         Ok(payload) => {
                             let put_begun = Instant::now();
                             if let Err(e) = shared.store.put(&job.digest, &payload) {
@@ -1078,26 +1041,23 @@ fn scheduler_loop(shared: &Arc<Shared>, batch_max: usize, batch_window: Duration
                             let store_write = put_begun.elapsed().as_nanos() as u64;
                             shared.latency.store_write.record_nanos(store_write);
                             let phases = PhaseNanos {
-                                queue_wait: waits[i],
-                                batch_linger: linger_nanos,
+                                queue_wait: queue_wait(job),
                                 eval: eval_nanos,
                                 store_write,
                             };
-                            job.slot.set(Answer::Ready(
-                                Source::Computed,
-                                Arc::new(payload),
-                                phases,
-                            ));
+                            Answer::Ready(Source::Computed, Arc::new(payload), phases)
                         }
-                        Err(message) => job.slot.set(Answer::Failed(message)),
-                    }
+                        Err(message) => Answer::Failed(message),
+                    };
+                    let _ = job.answer.send(answer);
                 }
             }
             Err(payload) => {
                 let message = panic_message(payload.as_ref());
                 for job in &batch {
-                    job.slot
-                        .set(Answer::Failed(format!("engine panicked: {message}")));
+                    let _ = job
+                        .answer
+                        .send(Answer::Failed(format!("engine panicked: {message}")));
                 }
             }
         }
@@ -1124,7 +1084,7 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
 
     let mut queue_json = Json::object();
     queue_json.insert("depth", shared.queue.len() as f64);
-    queue_json.insert("cap", shared.queue_cap as f64);
+    queue_json.insert("cap", shared.queue.cap() as f64);
     queue_json.insert("enqueued", load(&c.enqueued));
     queue_json.insert("rejected", load(&c.rejected));
     queue_json.insert("timeouts", load(&c.timeouts));
@@ -1162,7 +1122,7 @@ fn health_json(shared: &Arc<Shared>) -> Json {
     o.insert("pid", std::process::id() as f64);
     o.insert("started_unix_ms", shared.started_unix_ms as f64);
     o.insert("queue_depth", shared.queue.len() as f64);
-    o.insert("queue_cap", shared.queue_cap as f64);
+    o.insert("queue_cap", shared.queue.cap() as f64);
     o.insert("inflight", shared.active.load(Ordering::SeqCst) as f64);
     o.insert("store_entries", store.entries as f64);
     o.insert("store_bytes", store.bytes as f64);

@@ -1,8 +1,8 @@
 //! Integration tests for the daemon itself, driven through real
 //! sockets with a mock [`QueryEngine`]: compute-then-store-hit flow,
-//! restart persistence, error containment, backpressure, and a
-//! concurrent-clients property asserting exactly-once evaluation per
-//! unique digest.
+//! restart persistence, error containment, backpressure, queue order,
+//! the connection cap, and a concurrent-clients property asserting
+//! exactly-once evaluation per unique digest.
 
 use common::digest::Fnv1a;
 use common::json::Json;
@@ -73,16 +73,31 @@ impl Gate {
 }
 
 /// A deterministic engine: digests are content hashes of the request,
-/// payloads are canned, and every evaluation is counted per digest.
+/// payloads are canned, every evaluation is counted per digest, and
+/// every `evaluate` call's artifacts are recorded in call order.
 /// `artifact == "fail-*"` evaluates to an error, `"explode"` panics,
 /// and `"bad"` fails at digest time.
 #[derive(Default)]
 struct MockEngine {
     evaluated: Mutex<HashMap<String, usize>>,
+    calls: Mutex<Vec<Vec<String>>>,
     gate: Option<Arc<Gate>>,
 }
 
 impl MockEngine {
+    /// An engine whose `evaluate` calls park until `gate` opens.
+    fn gated(gate: &Arc<Gate>) -> MockEngine {
+        MockEngine {
+            gate: Some(Arc::clone(gate)),
+            ..MockEngine::default()
+        }
+    }
+
+    /// The artifacts of every `evaluate` call so far, in call order.
+    fn calls(&self) -> Vec<Vec<String>> {
+        self.calls.lock().unwrap().clone()
+    }
+
     fn evaluations(&self, digest: &str) -> usize {
         *self.evaluated.lock().unwrap().get(digest).unwrap_or(&0)
     }
@@ -111,6 +126,10 @@ impl QueryEngine for MockEngine {
     }
 
     fn evaluate(&self, requests: &[QueryRequest]) -> Vec<Result<String, String>> {
+        self.calls
+            .lock()
+            .unwrap()
+            .push(requests.iter().map(|r| r.artifact.clone()).collect());
         if let Some(gate) = &self.gate {
             gate.enter_and_wait_open();
         }
@@ -160,6 +179,32 @@ fn ok_query(endpoint: &Endpoint, request: &QueryRequest) -> QueryResponse {
     let response = client::request(endpoint, request, None).unwrap();
     assert_eq!(response.status, "ok", "error: {:?}", response.error);
     response
+}
+
+/// Polls `stats` until the daemon's queue holds `depth` jobs.
+fn wait_for_depth(endpoint: &Endpoint, depth: f64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client::request(endpoint, &QueryRequest::stats(), None)
+        .unwrap()
+        .stats
+        .unwrap()
+        .get("queue")
+        .and_then(|q| q.get("depth"))
+        .and_then(Json::as_f64)
+        != Some(depth)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "queue never reached depth {depth}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Sends one query for `artifact` from its own client thread.
+fn ask(endpoint: &Endpoint, artifact: &'static str) -> JoinHandle<QueryResponse> {
+    let endpoint = endpoint.clone();
+    std::thread::spawn(move || ok_query(&endpoint, &QueryRequest::query(artifact)))
 }
 
 #[test]
@@ -386,14 +431,9 @@ fn stats_reports_store_queue_and_engine_counters() {
 fn a_full_queue_answers_busy_instead_of_blocking() {
     let dir = temp_dir("busy");
     let gate = Arc::new(Gate::default());
-    let engine = Arc::new(MockEngine {
-        evaluated: Mutex::new(HashMap::new()),
-        gate: Some(Arc::clone(&gate)),
-    });
+    let engine = Arc::new(MockEngine::gated(&gate));
     let mut config = ServerConfig::new(dir.join("store"));
     config.queue_cap = 1;
-    config.batch_max = 1;
-    config.batch_window = Duration::from_millis(1);
     let (endpoint, handle) = start_tcp(config, engine);
 
     // First query: popped by the scheduler, parked inside `evaluate`.
@@ -409,25 +449,7 @@ fn a_full_queue_answers_busy_instead_of_blocking() {
         std::thread::spawn(move || client::request(&endpoint, &QueryRequest::query("b"), None))
     };
     // Wait until the second query occupies the queue's single slot.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = client::request(&endpoint, &QueryRequest::stats(), None)
-            .unwrap()
-            .stats
-            .unwrap();
-        let depth = stats
-            .get("queue")
-            .and_then(|q| q.get("depth"))
-            .and_then(Json::as_f64);
-        if depth == Some(1.0) {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "second query never reached the queue"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for_depth(&endpoint, 1.0);
 
     // Third query: the queue is full — busy, immediately.
     let third = client::request(&endpoint, &QueryRequest::query("c"), None).unwrap();
@@ -443,6 +465,126 @@ fn a_full_queue_answers_busy_instead_of_blocking() {
     }
 
     shutdown(&endpoint, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_pipelining_client_cannot_get_ahead_of_another_clients_query() {
+    use std::io::{BufRead, BufReader, Write};
+    let dir = temp_dir("arrival-order");
+    let gate = Arc::new(Gate::default());
+    let engine = Arc::new(MockEngine::gated(&gate));
+    let (endpoint, handle) = start_tcp(ServerConfig::new(dir.join("store")), Arc::clone(&engine));
+    let Endpoint::Tcp(addr) = &endpoint else {
+        unreachable!()
+    };
+
+    // Client A's first query parks the engine. A then pipelines two
+    // more queries in one write; its connection reads each only after
+    // the one before is answered.
+    let line = |artifact: &str| QueryRequest::query(artifact).to_json().render_jsonl_line();
+    let mut a = std::net::TcpStream::connect(addr).unwrap();
+    a.write_all(line("a1").as_bytes()).unwrap();
+    gate.wait_entered(1);
+    a.write_all((line("a2") + &line("a3")).as_bytes()).unwrap();
+
+    // Client B asks once, meanwhile, and is queued.
+    let b = ask(&endpoint, "b1");
+    wait_for_depth(&endpoint, 1.0);
+    gate.open();
+
+    for reply in BufReader::new(a).lines().take(3) {
+        let reply = QueryResponse::from_json(&Json::parse(&reply.unwrap()).unwrap()).unwrap();
+        assert_eq!(reply.status, "ok", "error: {:?}", reply.error);
+    }
+    b.join().unwrap();
+    let order = engine.calls().concat();
+    let at = |artifact: &str| order.iter().position(|a| a == artifact).unwrap();
+    assert!(at("b1") < at("a3"), "A got ahead of B: {order:?}");
+
+    shutdown(&endpoint, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn queries_that_arrive_while_the_engine_is_busy_form_the_next_batch() {
+    let dir = temp_dir("next-batch");
+    let gate = Arc::new(Gate::default());
+    let engine = Arc::new(MockEngine::gated(&gate));
+    let (endpoint, handle) = start_tcp(ServerConfig::new(dir.join("store")), Arc::clone(&engine));
+
+    // The engine holds `a`; `b` and `c`, from two more clients, queue.
+    let a = ask(&endpoint, "a");
+    gate.wait_entered(1);
+    let b = ask(&endpoint, "b");
+    wait_for_depth(&endpoint, 1.0);
+    let c = ask(&endpoint, "c");
+    wait_for_depth(&endpoint, 2.0);
+    gate.open();
+
+    for asked in [a, b, c] {
+        assert_eq!(asked.join().unwrap().source, Some(Source::Computed));
+    }
+    assert_eq!(engine.calls(), vec![vec!["a"], vec!["b", "c"]]);
+
+    shutdown(&endpoint, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn connections_beyond_the_cap_are_answered_busy_and_closed() {
+    use std::io::{BufRead, BufReader};
+    let dir = temp_dir("conn-cap");
+    let engine = Arc::new(MockEngine::default());
+    let (endpoint, handle) = start_tcp(ServerConfig::new(dir.join("store")), engine);
+    let Endpoint::Tcp(addr) = &endpoint else {
+        unreachable!()
+    };
+
+    // Hold the daemon's 256 connections idle, each proven served by a
+    // round trip. They connect in chunks, so one pass of the accept
+    // loop takes a whole chunk.
+    let mut idle: Vec<Connection> = Vec::new();
+    for _ in 0..4 {
+        let mut chunk: Vec<Connection> = (0..64)
+            .map(|_| Connection::connect(&endpoint, None).unwrap())
+            .collect();
+        for conn in &mut chunk {
+            assert_eq!(conn.request(&QueryRequest::health()).unwrap().status, "ok");
+        }
+        idle.append(&mut chunk);
+    }
+
+    // The next connection reads one `busy` line, then EOF.
+    let extra = std::net::TcpStream::connect(addr).unwrap();
+    extra
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(extra);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let response = QueryResponse::from_json(&Json::parse(&reply).unwrap()).unwrap();
+    assert_eq!(response.status, "busy");
+    assert!(response.error.unwrap().contains("too many connections"));
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).unwrap(), 0, "{reply:?}");
+
+    // Closing one idle connection lets a new client in.
+    idle.pop();
+    let policy = client::RetryPolicy {
+        retries: 10,
+        backoff: Duration::from_millis(20),
+        jitter_seed: 1,
+    };
+    let health =
+        client::request_with_retries(&endpoint, &QueryRequest::health(), None, &policy).unwrap();
+    assert_eq!(health.status, "ok", "error: {:?}", health.error);
+
+    drop(idle);
+    let bye =
+        client::request_with_retries(&endpoint, &QueryRequest::shutdown(), None, &policy).unwrap();
+    assert_eq!(bye.status, "ok");
+    handle.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -496,14 +638,8 @@ fn health_reports_readiness_queue_and_store() {
 fn an_expired_deadline_is_answered_timeout_not_computed() {
     let dir = temp_dir("deadline");
     let gate = Arc::new(Gate::default());
-    let engine = Arc::new(MockEngine {
-        evaluated: Mutex::new(HashMap::new()),
-        gate: Some(Arc::clone(&gate)),
-    });
-    let mut config = ServerConfig::new(dir.join("store"));
-    config.batch_max = 1;
-    config.batch_window = Duration::from_millis(1);
-    let (endpoint, handle) = start_tcp(config, Arc::clone(&engine));
+    let engine = Arc::new(MockEngine::gated(&gate));
+    let (endpoint, handle) = start_tcp(ServerConfig::new(dir.join("store")), Arc::clone(&engine));
 
     // Park the scheduler inside `evaluate` on an unrelated query.
     let parked = {
@@ -554,14 +690,9 @@ fn an_expired_deadline_is_answered_timeout_not_computed() {
 fn a_retrying_client_rides_out_busy_backpressure() {
     let dir = temp_dir("busy-retry");
     let gate = Arc::new(Gate::default());
-    let engine = Arc::new(MockEngine {
-        evaluated: Mutex::new(HashMap::new()),
-        gate: Some(Arc::clone(&gate)),
-    });
+    let engine = Arc::new(MockEngine::gated(&gate));
     let mut config = ServerConfig::new(dir.join("store"));
     config.queue_cap = 1;
-    config.batch_max = 1;
-    config.batch_window = Duration::from_millis(1);
     let (endpoint, handle) = start_tcp(config, engine);
 
     // Fill the scheduler and the queue's single slot.
@@ -574,19 +705,7 @@ fn a_retrying_client_rides_out_busy_backpressure() {
         let endpoint = endpoint.clone();
         std::thread::spawn(move || client::request(&endpoint, &QueryRequest::query("b"), None))
     };
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while client::request(&endpoint, &QueryRequest::stats(), None)
-        .unwrap()
-        .stats
-        .unwrap()
-        .get("queue")
-        .and_then(|q| q.get("depth"))
-        .and_then(Json::as_f64)
-        != Some(1.0)
-    {
-        assert!(Instant::now() < deadline, "queue never filled");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for_depth(&endpoint, 1.0);
 
     // Open the gate shortly after the retrying client's first (busy)
     // attempt, so one of its backoff retries lands in free capacity.
@@ -739,13 +858,7 @@ fn timing_is_opt_in_and_leaves_payloads_byte_identical() {
     let cold = ok_query(&endpoint, &timed);
     assert_eq!(cold.source, Some(Source::Computed));
     let timing = cold.timing.as_ref().expect("cold timing breakdown");
-    for key in [
-        "total_ms",
-        "queue_wait_ms",
-        "batch_linger_ms",
-        "eval_ms",
-        "store_write_ms",
-    ] {
+    for key in ["total_ms", "queue_wait_ms", "eval_ms", "store_write_ms"] {
         assert!(
             timing.get(key).and_then(Json::as_f64).is_some(),
             "timing missing {key}: {}",
