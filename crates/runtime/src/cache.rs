@@ -159,16 +159,10 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             }
         };
 
-        // Own the computation, outside the lock. An armed cache-poison
-        // fault (see [`crate::faults`]) fires here — after the in-flight
-        // claim — so injected failures exercise the same waiter-wakeup
-        // path as a real panicking computation.
+        // Own the computation, outside the lock.
         let result = {
             let _span = trace::span("cache.compute");
-            catch_unwind(AssertUnwindSafe(|| {
-                crate::faults::fire_armed_cache_poison();
-                compute()
-            }))
+            catch_unwind(AssertUnwindSafe(compute))
         };
         let outcome = match result {
             Ok(v) => {

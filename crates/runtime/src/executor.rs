@@ -4,7 +4,7 @@
 //! output.
 
 use crate::cache::{panic_message, Cache};
-use crate::faults::{self, FaultKind, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::metrics::SweepMetrics;
 use crate::pool::{current_worker_index, ThreadPool};
 use std::hash::Hash;
@@ -14,53 +14,18 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Sleep before the first retry of a point; each further retry doubles
-/// it, up to [`MAX_BACKOFF`].
-const BACKOFF: Duration = Duration::from_millis(10);
-/// Upper bound on a single backoff sleep.
-const MAX_BACKOFF: Duration = Duration::from_secs(1);
-
-/// Why a sweep point failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepErrorKind {
-    /// The point's computation panicked on its final attempt.
-    Panic,
-    /// The point's final attempt finished after the per-point deadline.
-    DeadlineExceeded,
-}
-
-/// A point that failed instead of producing a value, after exhausting
-/// its [`RetryPolicy`].
+/// A point whose computation panicked instead of producing a value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepError {
-    /// Panic message (or deadline description) of the failed point.
+    /// Panic message of the failed point.
     pub message: String,
-    /// What kind of failure ended the point.
-    pub kind: SweepErrorKind,
-    /// Total attempts made (1 = no retries were available or needed).
-    pub attempts: u32,
 }
 
 impl SweepError {
     /// A panicked point.
-    pub fn panicked(message: impl Into<String>, attempts: u32) -> Self {
+    pub fn panicked(message: impl Into<String>) -> Self {
         SweepError {
             message: message.into(),
-            kind: SweepErrorKind::Panic,
-            attempts,
-        }
-    }
-
-    /// A point whose attempt outlived the per-point deadline.
-    pub fn timed_out(elapsed: Duration, deadline: Duration, attempts: u32) -> Self {
-        SweepError {
-            message: format!(
-                "point exceeded deadline: {:.3}s > {:.3}s",
-                elapsed.as_secs_f64(),
-                deadline.as_secs_f64()
-            ),
-            kind: SweepErrorKind::DeadlineExceeded,
-            attempts,
         }
     }
 }
@@ -72,58 +37,6 @@ impl std::fmt::Display for SweepError {
 }
 
 impl std::error::Error for SweepError {}
-
-/// How the executor retries failed sweep points.
-///
-/// The default policy is one attempt and no deadline — the exact
-/// semantics the executor had before retries existed. Retry `n` sleeps
-/// 10 ms × 2^(n−1) first, capped at 1 s.
-///
-/// The deadline is **cooperative**: a std-only runtime cannot preempt a
-/// running closure, so the attempt's elapsed time is checked after it
-/// completes. A late-but-successful attempt is counted as a timeout and
-/// retried (the retry typically hits the cache the slow attempt just
-/// filled, so it is cheap); a late attempt on the last allowed try
-/// fails the point with [`SweepErrorKind::DeadlineExceeded`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum attempts per point (minimum 1).
-    pub max_attempts: u32,
-    /// Per-point deadline; `None` disables timeout detection.
-    pub point_deadline: Option<Duration>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            point_deadline: None,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy allowing `retries` retries (so `retries + 1` attempts)
-    /// with a small exponential backoff.
-    pub fn retries(retries: u32) -> Self {
-        RetryPolicy {
-            max_attempts: retries.saturating_add(1).max(1),
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Sets the per-point deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.point_deadline = Some(deadline);
-        self
-    }
-}
-
-/// The sleep before attempt number `attempt` (1-based retry index).
-fn backoff_before(attempt: u32) -> Duration {
-    let shift = attempt.saturating_sub(1).min(16);
-    BACKOFF.saturating_mul(1 << shift).min(MAX_BACKOFF)
-}
 
 /// Per-point outcome: the computed value or the panic that replaced it.
 pub type PointOutcome<O> = Result<O, SweepError>;
@@ -191,8 +104,7 @@ pub struct SweepExecutor {
     pool: Option<ThreadPool>,
     threads: usize,
     progress: bool,
-    policy: RetryPolicy,
-    faults: Option<Arc<FaultPlan>>,
+    faults: Option<FaultPlan>,
 }
 
 impl SweepExecutor {
@@ -203,7 +115,6 @@ impl SweepExecutor {
             pool: (threads > 1).then(|| ThreadPool::new(threads)),
             threads,
             progress: false,
-            policy: RetryPolicy::default(),
             faults: None,
         }
     }
@@ -214,13 +125,7 @@ impl SweepExecutor {
         self
     }
 
-    /// Sets the retry policy for subsequent sweeps.
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.set_retry_policy(policy);
-        self
-    }
-
-    /// Arms a fault plan: every attempt of every point consults it.
+    /// Arms a fault plan: every point consults it before it runs.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.set_faults(Some(plan));
         self
@@ -233,17 +138,9 @@ impl SweepExecutor {
         self.progress = progress;
     }
 
-    /// In-place form of [`Self::with_retry_policy`].
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = RetryPolicy {
-            max_attempts: policy.max_attempts.max(1),
-            ..policy
-        };
-    }
-
     /// In-place form of [`Self::with_faults`] (`None` disarms).
     pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
-        self.faults = plan.filter(|p| !p.is_noop()).map(Arc::new);
+        self.faults = plan.filter(|p| !p.is_noop());
     }
 
     /// Number of worker threads (1 means serial execution).
@@ -340,8 +237,7 @@ impl SweepExecutor {
         let run_point = {
             let metrics = Arc::clone(&metrics);
             let progress = self.progress;
-            let policy = self.policy;
-            let faults = self.faults.clone();
+            let faults = self.faults;
             move |key: K, indices: Vec<usize>, item: I| {
                 let hit = is_cache_hit(&key);
                 // Fault decisions key on the first submission index:
@@ -350,55 +246,14 @@ impl SweepExecutor {
                 let _point_span = trace::span("executor.point");
                 let start = Instant::now();
                 metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-                let mut attempt: u32 = 0;
-                let outcome = loop {
-                    let fault = faults.as_ref().and_then(|p| p.decide(point, attempt));
-                    if fault == Some(FaultKind::PoisonCache) {
-                        faults::arm_cache_poison();
+                let panics = faults.is_some_and(|p| p.panics(point));
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if panics {
+                        panic!("fault injection: forced panic at point {point}");
                     }
-                    let attempt_start = Instant::now();
-                    let result = {
-                        let _attempt_span = trace::span("executor.attempt");
-                        catch_unwind(AssertUnwindSafe(|| {
-                            match fault {
-                                Some(FaultKind::Panic) => {
-                                    panic!("fault injection: forced panic at point {point}")
-                                }
-                                Some(FaultKind::Delay(d)) => std::thread::sleep(d),
-                                _ => {}
-                            }
-                            f(&key, &item)
-                        }))
-                    };
-                    faults::disarm_cache_poison();
-                    let elapsed = attempt_start.elapsed();
-                    let attempts = attempt + 1;
-                    let attempt_outcome = match result {
-                        Ok(v) => match policy.point_deadline {
-                            Some(deadline) if elapsed > deadline => {
-                                metrics.timeouts.fetch_add(1, Ordering::Relaxed);
-                                trace::count("executor.timeout", 1);
-                                Err(SweepError::timed_out(elapsed, deadline, attempts))
-                            }
-                            _ => Ok(v),
-                        },
-                        Err(payload) => Err(SweepError::panicked(
-                            panic_message(payload.as_ref()),
-                            attempts,
-                        )),
-                    };
-                    if attempt_outcome.is_ok() || attempts >= policy.max_attempts {
-                        if attempt_outcome.is_err() {
-                            metrics.gave_up.fetch_add(1, Ordering::Relaxed);
-                            trace::count("executor.give_up", 1);
-                        }
-                        break attempt_outcome;
-                    }
-                    metrics.retries.fetch_add(1, Ordering::Relaxed);
-                    trace::count("executor.retry", 1);
-                    attempt += 1;
-                    std::thread::sleep(backoff_before(attempt));
-                };
+                    f(&key, &item)
+                }))
+                .map_err(|payload| SweepError::panicked(panic_message(payload.as_ref())));
                 metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
                 metrics
                     .completed
@@ -520,7 +375,6 @@ mod tests {
         });
         assert!(bad.first_error().is_some());
         let err = bad.try_into_values().unwrap_err();
-        assert_eq!(err.kind, SweepErrorKind::Panic);
         assert!(err.message.contains("bad point 2"), "{}", err.message);
     }
 
@@ -553,71 +407,40 @@ mod tests {
     }
 
     #[test]
-    fn transient_faults_are_retried_to_success() {
-        let plan = FaultPlan::new(0).with_forced_panics(&[0, 2]);
-        let executor = SweepExecutor::new(1)
-            .with_retry_policy(RetryPolicy::retries(2))
-            .with_faults(plan);
-        let report = executor.run(vec![10u32, 20, 30], |&n| n * 2);
-        let m = Arc::clone(&report.metrics);
-        assert_eq!(report.try_into_values().unwrap(), vec![20, 40, 60]);
-        assert_eq!(m.retries.load(Ordering::Relaxed), 2);
-        assert_eq!(m.gave_up.load(Ordering::Relaxed), 0);
-        assert_eq!(m.errors.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn sticky_faults_exhaust_retries_and_give_up() {
-        let plan = FaultPlan::new(0)
-            .with_forced_panics(&[1])
-            .with_faulted_attempts(u32::MAX);
-        let executor = SweepExecutor::new(1)
-            .with_retry_policy(RetryPolicy::retries(2))
-            .with_faults(plan);
-        let report = executor.run(vec![10u32, 20], |&n| n);
-        assert_eq!(report.failures(), 1);
-        let err = report.outcomes[1].as_ref().unwrap_err();
-        assert_eq!(err.kind, SweepErrorKind::Panic);
-        assert_eq!(err.attempts, 3);
-        assert_eq!(report.metrics.retries.load(Ordering::Relaxed), 2);
-        assert_eq!(report.metrics.gave_up.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn late_attempts_count_as_timeouts_and_retry() {
-        let plan = FaultPlan::new(0).with_delay_rate(1.0, Duration::from_millis(40));
-        let policy = RetryPolicy::retries(1).with_deadline(Duration::from_millis(15));
-        let executor = SweepExecutor::new(1)
-            .with_retry_policy(policy)
-            .with_faults(plan);
-        let report = executor.run(vec![1u32], |&n| n);
-        // Attempt 0 is delayed past the deadline; the transient fault
-        // clears and attempt 1 succeeds in time.
-        assert_eq!(report.try_into_values().unwrap(), vec![1]);
-
-        // With no retries left, the deadline fails the point.
-        let plan = FaultPlan::new(0).with_delay_rate(1.0, Duration::from_millis(40));
-        let executor = SweepExecutor::new(1)
-            .with_retry_policy(RetryPolicy::default().with_deadline(Duration::from_millis(15)))
-            .with_faults(plan);
-        let report = executor.run(vec![1u32], |&n| n);
-        let err = report.outcomes[0].as_ref().unwrap_err();
-        assert_eq!(err.kind, SweepErrorKind::DeadlineExceeded);
-        assert_eq!(report.metrics.timeouts.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn poison_faults_recover_through_the_cache() {
-        let plan = FaultPlan::new(0)
-            .with_poison_rate(1.0)
-            .with_faulted_attempts(1);
-        let executor = SweepExecutor::new(1)
-            .with_retry_policy(RetryPolicy::retries(1))
-            .with_faults(plan);
-        let cache: Arc<Cache<u64, u64>> = Arc::new(Cache::new());
-        let items: Vec<(u64, u64)> = (0..4).map(|i| (i, i)).collect();
-        let report = executor.run_keyed(&cache, items, |&k, _| k + 100);
-        assert_eq!(report.try_into_values().unwrap(), vec![100, 101, 102, 103]);
-        assert_eq!(cache.len(), 4, "retries repopulate the poisoned slots");
+    fn a_fault_plan_fails_exactly_its_planned_points() {
+        let plan = FaultPlan::new(7).with_panic_rate(0.3);
+        let items: Vec<u32> = (0..40).collect();
+        let run = |threads| {
+            let report = SweepExecutor::new(threads)
+                .with_faults(plan)
+                .run(items.clone(), |&n| n * 2);
+            assert_eq!(
+                report.metrics.errors.load(Ordering::Relaxed),
+                report.failures()
+            );
+            report.outcomes
+        };
+        let serial = run(1);
+        for (point, outcome) in serial.iter().enumerate() {
+            match outcome {
+                Err(e) => {
+                    assert!(plan.panics(point), "point {point} failed unplanned");
+                    assert_eq!(
+                        e.message,
+                        format!("fault injection: forced panic at point {point}")
+                    );
+                }
+                Ok(v) => {
+                    assert!(!plan.panics(point), "point {point} escaped its fault");
+                    assert_eq!(*v, point as u32 * 2);
+                }
+            }
+        }
+        assert!(serial.iter().any(Result::is_err) && serial.iter().any(Result::is_ok));
+        assert_eq!(
+            run(3),
+            serial,
+            "outcomes must not depend on the thread count"
+        );
     }
 }

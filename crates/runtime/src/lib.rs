@@ -17,15 +17,16 @@
 //!   collects results by submission index so parallel order never leaks
 //!   into output.
 //! * [`SweepMetrics`] — live counters (completed / cached / in-flight /
-//!   failed / retried / timed-out / gave-up), per-point wall times,
-//!   worker utilization, a periodic stderr progress line, and a final
-//!   summary table.
-//! * [`RetryPolicy`] — per-point retries with bounded exponential
-//!   backoff and a cooperative deadline; panicked or timed-out points
-//!   recompute on a fresh cache slot instead of poisoning the report.
-//! * [`FaultPlan`] — deterministic, seeded fault injection (forced
-//!   panics, artificial latency, poisoned cache entries) so every
-//!   recovery path above is testable in CI without real flakiness.
+//!   failed), per-point wall times, worker utilization, a periodic
+//!   stderr progress line, and a final summary table.
+//! * [`FaultPlan`] — deterministic, seeded point panics, so the
+//!   failure-isolation paths above are testable in CI without real
+//!   flakiness.
+//!
+//! Every point is one attempt. A sweep point is a pure function of its
+//! inputs, so a retry would only recompute the same answer or the same
+//! panic; a panicking point becomes a per-point [`SweepError`] and the
+//! rest of the sweep carries on.
 //!
 //! # Examples
 //!
@@ -52,10 +53,8 @@ pub mod metrics;
 pub mod pool;
 
 pub use cache::{Cache, ComputePanicked};
-pub use executor::{
-    PointOutcome, RetryPolicy, SweepError, SweepErrorKind, SweepExecutor, SweepReport,
-};
-pub use faults::{FaultKind, FaultPlan};
+pub use executor::{PointOutcome, SweepError, SweepExecutor, SweepReport};
+pub use faults::FaultPlan;
 pub use metrics::SweepMetrics;
 pub use pool::ThreadPool;
 

@@ -49,13 +49,6 @@ pub struct SweepMetrics {
     pub in_flight: AtomicUsize,
     /// Points that failed (panicked) instead of completing.
     pub errors: AtomicUsize,
-    /// Failed attempts that were retried under the executor's
-    /// [`crate::RetryPolicy`].
-    pub retries: AtomicUsize,
-    /// Attempts that finished after the per-point deadline.
-    pub timeouts: AtomicUsize,
-    /// Unique points that exhausted every allowed attempt.
-    pub gave_up: AtomicUsize,
     /// Sum of per-point simulation wall times, nanoseconds.
     sim_nanos: AtomicU64,
     /// Longest single point, nanoseconds.
@@ -91,9 +84,6 @@ impl SweepMetrics {
             cache_hits: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             errors: AtomicUsize::new(0),
-            retries: AtomicUsize::new(0),
-            timeouts: AtomicUsize::new(0),
-            gave_up: AtomicUsize::new(0),
             sim_nanos: AtomicU64::new(0),
             max_point_nanos: AtomicU64::new(0),
             busy_nanos: (0..workers.max(1)).map(|_| AtomicU64::new(0)).collect(),
@@ -203,9 +193,8 @@ impl SweepMetrics {
     /// The stable serialized form of the sweep counters, used by the
     /// `xp` driver's `manifest.json`. Schema (all keys always present):
     /// `submitted`, `completed`, `cache_hits`, `simulated`, `failed`,
-    /// `retries`, `timeouts`, `gave_up`, `workers`,
-    /// `worker_busy_secs` (per-worker busy time, indexed by worker
-    /// slot), `worker_utilization` (0–1), `wall_time_secs`,
+    /// `workers`, `worker_busy_secs` (per-worker busy time, indexed by
+    /// worker slot), `worker_utilization` (0–1), `wall_time_secs`,
     /// `sim_time_secs` (sum of per-point wall times), and
     /// `mean_point_secs` / `max_point_secs` (`null` until a point has
     /// been simulated).
@@ -218,9 +207,6 @@ impl SweepMetrics {
         o.insert("cache_hits", hits);
         o.insert("simulated", completed.saturating_sub(hits));
         o.insert("failed", self.errors.load(Ordering::Relaxed));
-        o.insert("retries", self.retries.load(Ordering::Relaxed));
-        o.insert("timeouts", self.timeouts.load(Ordering::Relaxed));
-        o.insert("gave_up", self.gave_up.load(Ordering::Relaxed));
         o.insert("workers", self.busy_nanos.len());
         let mut busy = Json::array();
         for b in &self.busy_nanos {
@@ -265,20 +251,6 @@ impl SweepMetrics {
             "failed".to_string(),
             self.errors.load(Ordering::Relaxed).to_string(),
         ]);
-        // Resilience rows appear only when something actually fired, so
-        // fault-free summaries render exactly as they always have.
-        let retries = self.retries.load(Ordering::Relaxed);
-        if retries > 0 {
-            t.row(["retried attempts".to_string(), retries.to_string()]);
-        }
-        let timeouts = self.timeouts.load(Ordering::Relaxed);
-        if timeouts > 0 {
-            t.row(["timed-out attempts".to_string(), timeouts.to_string()]);
-        }
-        let gave_up = self.gave_up.load(Ordering::Relaxed);
-        if gave_up > 0 {
-            t.row(["gave up".to_string(), gave_up.to_string()]);
-        }
         t.row([
             "wall time".to_string(),
             format!("{:.2}s", self.elapsed().as_secs_f64()),
@@ -348,9 +320,6 @@ mod tests {
                 "cache_hits",
                 "simulated",
                 "failed",
-                "retries",
-                "timeouts",
-                "gave_up",
                 "workers",
                 "worker_busy_secs",
                 "worker_utilization",

@@ -3,7 +3,7 @@
 //! counts, and panic containment in the executor.
 
 use proptest::prelude::*;
-use runtime::{Cache, FaultPlan, RetryPolicy, SweepExecutor, ThreadPool};
+use runtime::{Cache, SweepExecutor, ThreadPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -178,46 +178,11 @@ proptest! {
             }
         }
 
-        // The slot is recomputable: a retried point repopulates it.
+        // The slot is recomputable: a later request repopulates it.
         prop_assert_eq!(
             cache.get_or_compute(&key, || fake_simulate(key)).unwrap(),
             fake_simulate(key)
         );
         prop_assert_eq!(cache.get(&key), Some(fake_simulate(key)));
-    }
-
-    /// Injected transient faults plus retries reproduce the fault-free
-    /// sweep exactly: same values, repopulated cache, retries recorded.
-    #[test]
-    fn injected_faults_with_retries_match_fault_free(
-        keys in prop::collection::vec(0_u64..24, 1..60),
-        threads in 1_usize..9,
-        seed in 0_u64..1000,
-    ) {
-        let items: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
-
-        let clean_cache = Arc::new(Cache::new());
-        let expected = SweepExecutor::new(1)
-            .run_keyed(&clean_cache, items.clone(), |&k, _| fake_simulate(k))
-            .try_into_values()
-            .unwrap();
-
-        let plan = FaultPlan::new(seed)
-            .with_panic_rate(0.25)
-            .with_poison_rate(0.25);
-        let faulted = SweepExecutor::new(threads)
-            .with_retry_policy(RetryPolicy::retries(2))
-            .with_faults(plan);
-        let cache = Arc::new(Cache::new());
-        let report = faulted.run_keyed(&cache, items, |&k, _| fake_simulate(k));
-        let retries = report.metrics.retries.load(Ordering::Relaxed);
-        let gave_up = report.metrics.gave_up.load(Ordering::Relaxed);
-        let got = report.try_into_values().unwrap();
-
-        prop_assert_eq!(got, expected);
-        prop_assert_eq!(gave_up, 0);
-        // Every faulted point was retried at least once.
-        let unique: std::collections::HashSet<u64> = keys.iter().copied().collect();
-        prop_assert!(retries <= 2 * unique.len());
     }
 }

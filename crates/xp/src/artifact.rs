@@ -76,6 +76,21 @@ impl ArtifactError {
         )
     }
 
+    /// This error as the failure of artifact `id`, whose evaluation it
+    /// ended. An error raised by another artifact that `id` evaluates (a
+    /// figure inside `repro_report`) keeps that artifact's name in
+    /// `point`, e.g. `fig8: sweep prime`.
+    pub(crate) fn attributed_to(self, id: &str) -> Self {
+        if self.artifact == id {
+            return self;
+        }
+        ArtifactError {
+            point: format!("{}: {}", self.artifact, self.point),
+            artifact: id.to_string(),
+            kind: self.kind,
+        }
+    }
+
     /// The serialized form recorded in run manifests.
     pub fn to_json(&self) -> Json {
         let mut o = Json::object();
@@ -102,9 +117,9 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// Maps a point that failed on the lab's executor after its retries
-/// (a fit, validation or characterization run inside `artifact`'s
-/// evaluation) to the artifact's typed error at `point`.
+/// Maps a point that failed on the lab's executor (a fit, validation
+/// or characterization run inside `artifact`'s evaluation) to the
+/// artifact's typed error at `point`.
 pub(crate) fn failed_at(
     artifact: &'static str,
     point: &'static str,

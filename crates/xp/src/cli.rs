@@ -22,7 +22,7 @@ use crate::query::{artifact_digest, config_digest, RegistryEngine, SET_KEYS};
 use crate::registry::{ArtifactRegistry, RegistryOptions};
 use crate::validation;
 use common::json::Json;
-use runtime::{FaultPlan, RetryPolicy};
+use runtime::FaultPlan;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -110,10 +110,6 @@ struct RunOptions {
     out: Option<PathBuf>,
     /// Skip journaled artifacts whose config digest still matches.
     resume: bool,
-    /// Retries per sweep point beyond the first attempt.
-    retries: u32,
-    /// Cooperative per-point deadline.
-    point_timeout: Option<Duration>,
     /// Parsed `--faults` specification, if any.
     faults: Option<FaultSpec>,
     /// Write a Chrome trace-event JSON of the run here.
@@ -150,11 +146,11 @@ run options:
                            and journal.jsonl (one record per finished artifact)
   --resume DIR             like --out DIR, but skip artifacts already recorded
                            in DIR/journal.jsonl with a matching config digest
-  --retries N              retry failed sweep points up to N times (default: 0)
-  --point-timeout-ms MS    per-point deadline; late points count as timeouts
-                           and are retried under --retries
-  --faults SPEC            deterministic fault injection, e.g.
-                           seed=7,panic=0.1,delay=0.05,delay-ms=100,poison=0.1,nan=0.05,dropout=0.05
+  --faults SPEC            deterministic fault injection: panic=R fails that
+                           fraction of sweep points (each point runs once), and
+                           nan=R / dropout=R glitch the fitting pipeline's power
+                           sensor; seed=N picks the schedule, e.g.
+                           seed=7,panic=0.1,nan=0.05,dropout=0.05
   --trace FILE             record spans across runtime/sim/silicon/xp and write
                            Chrome trace-event JSON (perfetto / chrome://tracing)
   --metrics-out FILE       write per-span histograms, counters, and the sweep
@@ -237,9 +233,6 @@ bench options:
 struct FaultSpec {
     seed: u64,
     panic: f64,
-    delay: f64,
-    delay_ms: u64,
-    poison: f64,
     nan: f64,
     dropout: f64,
 }
@@ -249,9 +242,6 @@ impl FaultSpec {
         let mut f = FaultSpec {
             seed: 0,
             panic: 0.0,
-            delay: 0.0,
-            delay_ms: 100,
-            poison: 0.0,
             nan: 0.0,
             dropout: 0.0,
         };
@@ -275,13 +265,6 @@ impl FaultSpec {
                         .map_err(|_| format!("seed expects an integer, got {value:?}"))?
                 }
                 "panic" => f.panic = rate("panic")?,
-                "delay" => f.delay = rate("delay")?,
-                "delay-ms" => {
-                    f.delay_ms = value
-                        .parse()
-                        .map_err(|_| format!("delay-ms expects an integer, got {value:?}"))?
-                }
-                "poison" => f.poison = rate("poison")?,
                 "nan" => f.nan = rate("nan")?,
                 "dropout" => f.dropout = rate("dropout")?,
                 other => return Err(format!("unknown key {other:?}")),
@@ -290,12 +273,9 @@ impl FaultSpec {
         Ok(f)
     }
 
-    /// The runtime half: panics, latency, poisoned cache entries.
+    /// The runtime half: the sweep points that panic.
     fn fault_plan(&self) -> FaultPlan {
-        FaultPlan::new(self.seed)
-            .with_panic_rate(self.panic)
-            .with_delay_rate(self.delay, Duration::from_millis(self.delay_ms))
-            .with_poison_rate(self.poison)
+        FaultPlan::new(self.seed).with_panic_rate(self.panic)
     }
 
     /// The silicon half: sensor NaN glitches and dropouts.
@@ -627,8 +607,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 format: Format::Text,
                 out: None,
                 resume: false,
-                retries: 0,
-                point_timeout: None,
                 faults: None,
                 trace: None,
                 metrics_out: None,
@@ -657,8 +635,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
                         opts.out = Some(flags.path(arg)?);
                         opts.resume = true;
                     }
-                    "--retries" => opts.retries = flags.number(arg, 0)?,
-                    "--point-timeout-ms" => opts.point_timeout = Some(flags.millis(arg)?),
                     "--faults" => {
                         let spec = flags.value(arg)?;
                         opts.faults =
@@ -705,9 +681,11 @@ fn prepare_out_dir(dir: &Path) -> Result<(), String> {
 }
 
 /// Reads `journal.jsonl` from a prior `--out` run, keeping the last
-/// record per artifact id. A missing journal means nothing to resume;
-/// a corrupt one is an error (silently rerunning everything would mask
-/// data loss).
+/// record per artifact id. A missing journal means nothing to resume.
+/// An unparseable final record is what a run that died mid-append
+/// leaves behind: it is ignored with a warning, and the artifact it
+/// described reruns. A bad record anywhere else is an error (silently
+/// rerunning everything would mask data loss).
 fn load_journal(dir: &Path) -> Result<Vec<(String, Json)>, String> {
     let path = dir.join("journal.jsonl");
     let text = match std::fs::read_to_string(&path) {
@@ -721,10 +699,20 @@ fn load_journal(dir: &Path) -> Result<Vec<(String, Json)>, String> {
         }
         Err(e) => return Err(format!("xp run: cannot read {}: {e}", path.display())),
     };
-    let records = Json::parse_jsonl(&text)
-        .map_err(|e| format!("xp run: {} is corrupt: {e}", path.display()))?;
+    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     let mut latest: Vec<(String, Json)> = Vec::new();
-    for rec in records {
+    for (i, line) in lines.iter().enumerate() {
+        let rec = match Json::parse(line) {
+            Ok(rec) => rec,
+            Err(e) if i + 1 == lines.len() => {
+                eprintln!(
+                    "xp run: {}: ignoring a torn final record ({e}); its artifact reruns",
+                    path.display()
+                );
+                break;
+            }
+            Err(e) => return Err(format!("xp run: {} is corrupt: {e}", path.display())),
+        };
         let Some(id) = rec.get("artifact").and_then(Json::as_str) else {
             return Err(format!(
                 "xp run: {}: record missing `artifact`",
@@ -1318,9 +1306,11 @@ fn run(opts: &RunOptions) -> i32 {
     };
 
     let started = Instant::now();
+    let sensor_faults = opts.faults.as_ref().and_then(FaultSpec::sensor_faults);
 
     // Decide, per artifact, whether a journaled result still stands:
-    // status ok, same config digest, artifact file still on disk.
+    // status ok, same config digest (sensor faults included), artifact
+    // file still on disk.
     let mut digests: Vec<(String, String)> = Vec::new();
     let mut to_run: Vec<&str> = Vec::new();
     let mut resumed: Vec<&str> = Vec::new();
@@ -1329,6 +1319,7 @@ fn run(opts: &RunOptions) -> i32 {
             &registry.get(id).unwrap().plan(),
             opts.sweep.scale,
             opts.sweep.validation,
+            sensor_faults,
         );
         let keep = opts.resume
             && prior.iter().any(|(k, rec)| {
@@ -1363,14 +1354,9 @@ fn run(opts: &RunOptions) -> i32 {
         .then(|| trace::session(trace::TraceConfig::default()));
 
     let mut lab = Lab::with_threads(opts.sweep.scale, opts.sweep.threads);
-    let mut policy = RetryPolicy::retries(opts.retries);
-    if let Some(deadline) = opts.point_timeout {
-        policy = policy.with_deadline(deadline);
-    }
-    lab = lab.with_retry_policy(policy);
     if let Some(spec) = &opts.faults {
         lab = lab.with_faults(spec.fault_plan());
-        silicon::arm_sensor_faults(spec.sensor_faults());
+        silicon::arm_sensor_faults(sensor_faults);
     }
     let _sensor_guard = SensorFaultGuard;
     let suite = default_suite();
@@ -1390,8 +1376,8 @@ fn run(opts: &RunOptions) -> i32 {
     let digest = config_digest(&configs);
 
     // Pre-warm the shared fit cache so per-artifact fits are lookups. A
-    // failed fit is not cached: each artifact that needs it retries and
-    // reports its own typed error.
+    // failed fit is not cached: each artifact that needs it fits again
+    // and reports its own typed error.
     if plan.needs_fit {
         let _ = validation::fit_model_cached(&lab);
     }
@@ -1476,12 +1462,12 @@ fn run(opts: &RunOptions) -> i32 {
         } else {
             trace::Span::disabled()
         };
-        // Isolate each artifact: a panic (e.g. an injected fault that
-        // exhausted its retries) fails this artifact, not the batch.
+        // Isolate each artifact: a panic (e.g. an injected fault) fails
+        // this artifact, not the batch.
         let outcome = catch_unwind(AssertUnwindSafe(|| artifact.evaluate(&lab, &suite)));
         let elapsed = eval_started.elapsed().as_secs_f64();
         let result = match outcome {
-            Ok(r) => r,
+            Ok(r) => r.map_err(|e| e.attributed_to(id)),
             Err(payload) => Err(ArtifactError::new(
                 *id,
                 "evaluate",
@@ -1718,6 +1704,13 @@ mod tests {
             parse(&argv(&["check", "results", "X"])).unwrap_err(),
             "xp check: unexpected argument \"X\""
         );
+        // Sweep points run once: the retry and deadline flags are gone.
+        for flag in ["--retries", "--point-timeout-ms"] {
+            assert_eq!(
+                parse(&argv(&["run", "fig2", flag, "5"])).unwrap_err(),
+                format!("xp run: unknown option {flag}")
+            );
+        }
     }
 
     #[test]
@@ -1733,12 +1726,8 @@ mod tests {
             "both",
             "--out",
             "results",
-            "--retries",
-            "3",
-            "--point-timeout-ms",
-            "1500",
             "--faults",
-            "seed=7,panic=0.2,poison=0.1",
+            "seed=7,panic=0.2,dropout=0.1",
             "--trace",
             "out.trace.json",
             "--metrics-out",
@@ -1753,12 +1742,10 @@ mod tests {
         assert_eq!(opts.format, Format::Both);
         assert_eq!(opts.out.as_deref(), Some(Path::new("results")));
         assert!(!opts.resume);
-        assert_eq!(opts.retries, 3);
-        assert_eq!(opts.point_timeout, Some(Duration::from_millis(1500)));
         let spec = opts.faults.expect("faults parsed");
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.panic, 0.2);
-        assert_eq!(spec.poison, 0.1);
+        assert_eq!(spec.dropout, 0.1);
         assert_eq!(spec.nan, 0.0);
         assert_eq!(opts.trace.as_deref(), Some(Path::new("out.trace.json")));
         assert_eq!(opts.metrics_out.as_deref(), Some(Path::new("metrics.json")));
@@ -1807,12 +1794,9 @@ mod tests {
 
     #[test]
     fn fault_specs_parse_and_reject_bad_input() {
-        let spec = FaultSpec::parse(
-            "seed=9,panic=0.1,delay=0.05,delay-ms=20,poison=0.2,nan=0.3,dropout=0.4",
-        )
-        .unwrap();
+        let spec = FaultSpec::parse("seed=9,panic=0.1,nan=0.3,dropout=0.4").unwrap();
         assert_eq!(spec.seed, 9);
-        assert_eq!(spec.delay_ms, 20);
+        assert_eq!(spec.nan, 0.3);
         assert_eq!(spec.dropout, 0.4);
         assert!(spec.sensor_faults().is_some());
         assert!(!spec.fault_plan().is_noop());
@@ -1821,6 +1805,15 @@ mod tests {
         assert!(FaultSpec::parse("panic=1.5").is_err());
         assert!(FaultSpec::parse("frobnicate=1").is_err());
         assert!(FaultSpec::parse("panic").is_err());
+        // Latency and cache-poison faults are gone with the retries
+        // they exercised.
+        for retired in ["delay=0.1", "delay-ms=5", "poison=0.1"] {
+            let key = retired.split('=').next().unwrap();
+            assert_eq!(
+                FaultSpec::parse(retired).unwrap_err(),
+                format!("unknown key {key:?}")
+            );
+        }
 
         // A runtime-only spec arms no sensor faults.
         let spec = FaultSpec::parse("seed=1,panic=0.5").unwrap();
@@ -2082,11 +2075,51 @@ mod tests {
     #[test]
     fn artifact_digests_track_scale_and_plan() {
         let plan = SweepPlan::sweep(vec![ExpConfig::baseline()]);
-        let a = artifact_digest(&plan, Scale::Smoke, true);
-        assert_eq!(a, artifact_digest(&plan, Scale::Smoke, true));
-        assert_ne!(a, artifact_digest(&plan, Scale::Full, true));
-        assert_ne!(a, artifact_digest(&plan, Scale::Smoke, false));
-        assert_ne!(a, artifact_digest(&SweepPlan::none(), Scale::Smoke, true));
+        let a = artifact_digest(&plan, Scale::Smoke, true, None);
+        assert_eq!(a, artifact_digest(&plan, Scale::Smoke, true, None));
+        assert_ne!(a, artifact_digest(&plan, Scale::Full, true, None));
+        assert_ne!(a, artifact_digest(&plan, Scale::Smoke, false, None));
+        assert_ne!(
+            a,
+            artifact_digest(&SweepPlan::none(), Scale::Smoke, true, None)
+        );
+
+        // Fault-free digests are pinned: journals and store keys written
+        // before sensor faults joined the digest stay fresh.
+        let fit = artifact_digest(&SweepPlan::fit(), Scale::Smoke, false, None);
+        assert_eq!(fit, "90f2ff6868213d87");
+        // Sensor faults move fitted values, so they change the digest.
+        let faults = silicon::SensorFaults {
+            nan_rate: 0.1,
+            dropout_rate: 0.1,
+            seed: 11,
+        };
+        let faulted = artifact_digest(&SweepPlan::fit(), Scale::Smoke, false, Some(faults));
+        assert_ne!(fit, faulted);
+        let reseeded = silicon::SensorFaults { seed: 12, ..faults };
+        assert_ne!(
+            faulted,
+            artifact_digest(&SweepPlan::fit(), Scale::Smoke, false, Some(reseeded))
+        );
+    }
+
+    #[test]
+    fn a_torn_final_journal_record_is_ignored_but_a_torn_middle_one_is_not() {
+        let dir = std::env::temp_dir().join(format!("xp-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = "{\"artifact\":\"fig2\",\"digest\":\"d\",\"status\":\"ok\"}\n";
+        let torn = "{\"artifact\":\"fig6\",\"dig";
+        let journal = dir.join("journal.jsonl");
+
+        std::fs::write(&journal, format!("{good}{torn}")).unwrap();
+        let records = load_journal(&dir).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].0, "fig2");
+
+        std::fs::write(&journal, format!("{torn}\n{good}")).unwrap();
+        let err = load_journal(&dir).unwrap_err();
+        assert!(err.contains("is corrupt"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2105,8 +2138,6 @@ mod tests {
             (run, "--format", &["", "yaml"]),
             (run, "--out", ANY),
             (run, "--resume", ANY),
-            (run, "--retries", COUNT),
-            (run, "--point-timeout-ms", POSITIVE),
             (run, "--faults", &["", "panic=2"]),
             (run, "--trace", ANY),
             (run, "--metrics-out", ANY),

@@ -17,9 +17,7 @@ use crate::configs::ExpConfig;
 use common::units::Time;
 use gpujoule::{EdpScalingEfficiency, EnergyBreakdown, EnergyDelay};
 use isa::EventCounts;
-use runtime::{
-    Cache, FaultPlan, RetryPolicy, SweepError, SweepExecutor, SweepMetrics, SweepReport,
-};
+use runtime::{Cache, FaultPlan, SweepError, SweepExecutor, SweepMetrics, SweepReport};
 use sim::GpuSim;
 use std::sync::{Arc, Mutex};
 use workloads::{Scale, WorkloadSpec};
@@ -137,12 +135,6 @@ impl Lab {
         self.executor.set_progress(progress);
     }
 
-    /// Sets the executor's retry policy for subsequent sweeps.
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.executor.set_retry_policy(policy);
-        self
-    }
-
     /// Arms a deterministic fault plan on the executor (tests and the
     /// `xp --faults` flag).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
@@ -193,10 +185,10 @@ impl Lab {
     }
 
     /// Runs `f` once per item on the sweep executor, uncached, returning
-    /// the results in submission order (or the first point that failed
-    /// after the executor's retries). Non-sweep work — fitting-pipeline
-    /// microbenchmarks, validation and characterization runs — uses this
-    /// so it shares the lab's threads, retry policy and fault plan.
+    /// the results in submission order (or the first point that failed).
+    /// Non-sweep work — fitting-pipeline microbenchmarks, validation and
+    /// characterization runs — uses this so it shares the lab's threads
+    /// and fault plan.
     ///
     /// Called from inside a pool worker (a nested map), the items run
     /// inline on that worker rather than waiting on the busy pool.
@@ -214,10 +206,9 @@ impl Lab {
     /// every metric (EDPSE, speedup, energy ratio) needs the baseline, so
     /// it is always included.
     ///
-    /// A point that fails even after the executor's retries surfaces
-    /// here as the sweep's first [`SweepError`], so callers report a
-    /// typed artifact failure instead of re-panicking during the serial
-    /// evaluation pass.
+    /// A point that fails surfaces here as the sweep's first
+    /// [`SweepError`], so callers report a typed artifact failure instead
+    /// of re-panicking during the serial evaluation pass.
     pub fn prime_suite(
         &self,
         suite: &[WorkloadSpec],

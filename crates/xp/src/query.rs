@@ -45,13 +45,24 @@ pub fn config_digest(configs: &[ExpConfig]) -> String {
 }
 
 /// Per-artifact fingerprint over everything its journaled result depends
-/// on: problem scale, validation mode, and the artifact's own sweep plan.
-/// `--resume` only trusts a journal record whose digest still matches.
-pub fn artifact_digest(plan: &SweepPlan, scale: Scale, validation: bool) -> String {
+/// on: problem scale, validation mode, the artifact's own sweep plan, and
+/// the sensor faults `xp run --faults` armed, if any (they move every
+/// fitted value). `--resume` only trusts a journal record whose digest
+/// still matches. A fault-free digest hashes no fault text, so journal
+/// records and `xpd` store keys written without faults stay valid.
+pub fn artifact_digest(
+    plan: &SweepPlan,
+    scale: Scale,
+    validation: bool,
+    sensor_faults: Option<silicon::SensorFaults>,
+) -> String {
     let mut h = Fnv1a::new();
     h.update(&format!("{scale:?}|{validation}|{}\n", plan.needs_fit));
     for cfg in &plan.configs {
         h.update(&format!("{cfg:?}\n"));
+    }
+    if let Some(faults) = sensor_faults {
+        h.update(&format!("{faults:?}\n"));
     }
     h.hex()
 }
@@ -75,7 +86,8 @@ pub fn query_digest(
     for (k, v) in sorted {
         h.update(&format!("{k}={v}|"));
     }
-    h.update(&artifact_digest(plan, scale, validation));
+    // The daemon never arms sensor faults.
+    h.update(&artifact_digest(plan, scale, validation, None));
     h.hex()
 }
 

@@ -73,12 +73,12 @@ fn fit_key(hw: &VirtualK40, cfg: &FitConfig) -> String {
 /// setup.
 ///
 /// Each microbenchmark run is one point on the lab's sweep executor, so
-/// the runs share the lab's threads, retries and fault plan; outcomes
-/// come back in submission order and every run is a pure function of
-/// its inputs, so the fit is bit-identical at any thread count.
-/// Concurrent callers with the same key join the in-flight fit, while
-/// distinct keys fit concurrently. A run that still fails after the
-/// executor's retries fails the fit, and that failure is not cached.
+/// the runs share the lab's threads and fault plan; outcomes come back
+/// in submission order and every run is a pure function of its inputs,
+/// so the fit is bit-identical at any thread count. Concurrent callers
+/// with the same key join the in-flight fit, while distinct keys fit
+/// concurrently. A run that fails fails the fit, and that failure is
+/// not cached.
 /// Each fit solved here counts once in the `microbench.fit` trace
 /// counter.
 pub fn fit_cached(
